@@ -12,6 +12,15 @@ host's ``cpu_count`` recorded alongside — the speedup gate
 with at least 4 CPUs, because forked workers cannot beat a single
 in-process loop when they time-share one core; single-core hosts still
 record honest numbers and run the parity checks.
+
+A second, vectorized series runs the same points with
+``vectorized=True`` (array kernels in the simulator and in the
+workers), timing both backends' superstep loop (``wall_s`` of the run
+result, load excluded).  Its gate: one vectorized worker takes at most
+``1.3x`` the vectorized simulator on the same 4-node spec the scalar
+series compares against.  The ratio to a 1-node simulator run — the
+same partitioning as the single worker — is recorded alongside,
+ungated.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ GRAPH_N = 4000
 ITERATIONS = 12
 WORKER_COUNTS = (1, 2, 4)
 SPEEDUP_FLOOR = 1.5
+VEC_RATIO_CEILING = 1.3
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -53,19 +63,33 @@ def _graph():
     return _GRAPH
 
 
-def _spec(num_nodes: int) -> BackendSpec:
+def _spec(num_nodes: int, vectorized: bool = False) -> BackendSpec:
     # ft_mode none so the one-worker configuration is legal and every
     # point of the scaling series runs the identical protocol.
     return BackendSpec(algorithm="pagerank", num_nodes=num_nodes,
                        ft_mode="none", ft_level=0,
-                       max_iterations=ITERATIONS, vectorized=False)
+                       max_iterations=ITERATIONS, vectorized=vectorized)
 
 
 def _run(key: str) -> dict:
     if key in _RESULTS:
         return _RESULTS[key]
     graph = _graph()
-    if key == "simulator":
+    if key.startswith("vec-"):
+        # vec-simulator-<nodes> / vec-mp-<workers>: loop walls on both
+        # sides.
+        _, kind, count = key.split("-")
+        workers = int(count)
+        if kind == "simulator":
+            result = SimulatorBackend().run(graph, _spec(workers, True))
+            backend = "simulator"
+        else:
+            with MultiprocessingBackend() as be:
+                result = be.run(graph, _spec(workers, True))
+            assert result.extra["vectorized"]
+            backend = "multiprocessing"
+        wall_s = result.wall_s
+    elif key == "simulator":
         start = time.perf_counter()
         result = SimulatorBackend().run(graph, _spec(4))
         wall_s = time.perf_counter() - start
@@ -88,6 +112,7 @@ def _run(key: str) -> dict:
         "logical_records": result.total_msgs,
         "wire_bytes": result.total_bytes,
         "values_checksum": sum(result.values.values()),
+        "vectorized": key.startswith("vec-"),
     }
     _RESULTS[key]["_values"] = result.values
     _flush()
@@ -104,6 +129,13 @@ def _flush() -> None:
         if sim and run:
             summary[f"speedup_{workers}w_vs_simulator"] = \
                 sim["wall_s"] / max(run["wall_s"], 1e-9)
+    vec_mp1 = _RESULTS.get("vec-mp-1")
+    for nodes in (4, 1):
+        vec_sim = _RESULTS.get(f"vec-simulator-{nodes}")
+        if vec_mp1 and vec_sim:
+            suffix = "" if nodes == 4 else "_1node"
+            summary[f"vectorized_ratio_1w_vs_simulator{suffix}"] = \
+                vec_mp1["wall_s"] / max(vec_sim["wall_s"], 1e-9)
     BENCH_PATH.write_text(json.dumps(
         {"figure": "mp_backend_scaling",
          "workload": {"graph": f"power_law({GRAPH_N}, alpha=2.0, seed=7)",
@@ -138,3 +170,28 @@ def test_speedup_vs_simulator():
         pytest.skip(f"speedup gate needs >=4 CPUs (host has {cpus}); "
                     f"honest numbers recorded in BENCH_mp_backend.json")
     assert speedup >= SPEEDUP_FLOOR
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+def test_vectorized_point_matches_simulator(workers):
+    """The vectorized series does the same protocol work: identical
+    logical traffic and bit-identical values to a vectorized simulator
+    run of the same spec."""
+    run = _run(f"vec-mp-{workers}")
+    reference = SimulatorBackend().run(_graph(), _spec(workers, True))
+    assert run["iterations"] == reference.iterations
+    assert run["logical_records"] == reference.total_msgs
+    assert run["wire_bytes"] == reference.total_bytes
+    assert _RESULTS[f"vec-mp-{workers}"]["_values"] == reference.values
+
+
+def test_vectorized_single_worker_vs_simulator():
+    """One vectorized worker costs at most 1.3x the vectorized
+    simulator's superstep loop on the series' 4-node spec."""
+    _run("vec-simulator-1")
+    sim = _run("vec-simulator-4")
+    mp1 = _run("vec-mp-1")
+    ratio = mp1["wall_s"] / max(sim["wall_s"], 1e-9)
+    print(f"\nvectorized simulator {sim['wall_s']:.3f}s vs 1-worker mp "
+          f"{mp1['wall_s']:.3f}s ({ratio:.2f}x, {os.cpu_count()} cpus)")
+    assert ratio <= VEC_RATIO_CEILING

@@ -43,7 +43,7 @@ from repro.costmodel import (
     pairwise_comm_time,
 )
 from repro.engine.construction import ConstructionReport, build_local_graphs
-from repro.engine.messages import ActivateBatch, RawGatherBatch, SyncBatch
+from repro.engine.messages import SyncBatch
 from repro.engine.state import VertexSlot
 from repro.engine.vectorized import NO_COLUMN, VectorizedExecutor
 from repro.engine.vertex_program import ApplyContext, VertexProgram
@@ -184,10 +184,11 @@ class Engine:
             self._sync_elision = self.job.engine.sync_elision
             self._combining = self.job.engine.combining
             #: Backend-agnostic per-node protocol (DESIGN.md §12): the
-            #: scalar compute/sync/commit paths below delegate here, and
-            #: the multiprocessing backend runs the same object inside
-            #: worker processes.  ``selfish_opt`` is refreshed at every
-            #: superstep from :attr:`selfish_opt_active`.
+            #: per-node loops below drive it (or the vectorized
+            #: executor's array image of it, see :meth:`_ops`), and the
+            #: multiprocessing workers drive the same operations.
+            #: ``selfish_opt`` is refreshed at every superstep from
+            #: :attr:`selfish_opt_active`.
             self._protocol = NodeProtocol(
                 program, self.is_edge_cut,
                 sync_elision=self._sync_elision,
@@ -648,12 +649,7 @@ class Engine:
                               mode=("edge-cut" if self.is_edge_cut
                                     else "vertex-cut")) as sp:
             if self.is_edge_cut:
-                if self._vec is not None:
-                    self._vec.edge_cut_compute(alive)
-                else:
-                    self._edge_cut_compute(alive)
-            elif self._vec is not None:
-                self._vec.vertex_cut_compute(alive)
+                self._edge_cut_compute(alive)
             else:
                 self._vertex_cut_compute(alive)
             # Advance per-node clocks: framework overhead + compute.
@@ -688,12 +684,29 @@ class Engine:
                 sp.annotate(failed_nodes=list(failed))
         return failed if failed else None
 
+    # -- per-node operations ---------------------------------------------
+
+    def _ops(self):
+        """The per-node operations this engine runs: the vectorized
+        executor's array protocol when installed, else the scalar
+        :class:`NodeProtocol` — driven through the same calls."""
+        ops = self._protocol if self._vec is None else self._vec.ops
+        ops.selfish_opt = self.selfish_opt_active
+        return ops
+
+    def _state(self, node: int, activity_changed: bool = False):
+        """A node's per-superstep state for :meth:`_ops`: its staged
+        slots, or its cached columns (``activity_changed`` re-reads
+        their activity flags after phase-0 slot writes)."""
+        if self._vec is None:
+            return self._dirty[node]
+        return self._vec.state(node, activity_changed)
+
     # -- edge-cut ---------------------------------------------------------
 
     def _edge_cut_compute(self, alive: list[int]) -> None:
         ctx = self._ctx()
-        proto = self._protocol
-        proto.selfish_opt = self.selfish_opt_active
+        ops = self._ops()
         mutation_log = (self._edge_updates
                         if self.program.mutates_edges else None)
         # Chaos hook fires mid-loop so a crash lands after a prefix of
@@ -704,10 +717,9 @@ class Engine:
                 self._chaos_point("gather")
             if not self.cluster.node(node).is_alive:
                 continue
-            lg = self.local_graphs[node]
-            outbox: dict = {}
-            edges, vertices, elided = proto.edge_cut_compute_node(
-                lg, ctx, outbox, self._dirty[node], mutation_log)
+            outbox, edges, vertices, elided = ops.edge_cut_compute_node(
+                self.local_graphs[node], self._state(node), ctx,
+                mutation_log)
             self.syncs_elided += elided
             # Flushed per node, so a mid-compute crash still loses the
             # not-yet-computed nodes' syncs (partial-batch semantics).
@@ -755,26 +767,23 @@ class Engine:
 
     def _vertex_cut_compute(self, alive: list[int]) -> None:
         ctx = self._ctx()
-        proto = self._protocol
-        proto.selfish_opt = self.selfish_opt_active
+        ops = self._ops()
         net = self.cluster.network
         mutation_log = (self._edge_updates
                         if self.program.mutates_edges else None)
 
+        # Phase 0 writes activity flags into the slots; cached columns
+        # re-read them (skipped when nothing was pending — the common
+        # case for always-active programs).
+        changed = any(self._broadcast_pending.get(n) for n in alive)
         self._vertex_cut_broadcast(alive, net)
 
         # Phase 1: local partial gathers flow to masters.
-        partials: dict[int, dict[int, list[tuple[int, Any]]]] = {
-            node: defaultdict(list) for node in alive}
+        partials: dict[int, Any] = {}
         for node in alive:
-            lg = self.local_graphs[node]
-            outbox: dict = {}
-            local: list[tuple[int, Any]] = []
-            edges = proto.vertex_gather(lg, ctx, outbox, local,
-                                        mutation_log)
-            bucket = partials[node]
-            for gid, acc in local:
-                bucket[gid].append((node, acc))
+            outbox, partials[node], edges = ops.vertex_gather(
+                self.local_graphs[node], self._state(node, changed), ctx,
+                mutation_log)
             self._flush_batches(node, outbox)
             self._step_edges[node] += edges
         # Partial gathers are in flight toward the masters: a crash here
@@ -782,26 +791,17 @@ class Engine:
         self._chaos_point("gather")
         alive = self._filter_alive(alive)
         for node in alive:
+            lg, state = self.local_graphs[node], self._state(node)
             for msg in net.deliver(node):
-                batch = msg.payload
-                bucket = partials[node]
-                if isinstance(batch, RawGatherBatch):
-                    # Combining off: fold each record's raw contribution
-                    # group on receipt (DESIGN.md §15) — the partial the
-                    # sender would have shipped combined.
-                    accs = proto.fold_raw_gather(batch)
-                else:
-                    accs = batch.accs
-                for gid, acc in zip(batch.gids, accs):
-                    bucket[gid].append((msg.src, acc))
+                ops.receive_gather(lg, state, partials[node], msg.src,
+                                   msg.payload)
 
         # Phase 2: masters fold partials (node-id order for
         # determinism), apply, and scatter.
         for node in alive:
-            lg = self.local_graphs[node]
-            outbox = {}
-            vertices, elided = proto.master_fold_apply(
-                lg, partials[node], ctx, outbox, self._dirty[node])
+            outbox, vertices, elided = ops.master_fold_apply(
+                self.local_graphs[node], self._state(node), partials[node],
+                ctx)
             self.syncs_elided += elided
             self._flush_batches(node, outbox)
             self._step_vertices[node] += vertices
@@ -865,23 +865,11 @@ class Engine:
         return ckpt_time
 
     def _apply_received_syncs(self, alive: list[int], net) -> None:
-        proto = self._protocol
+        ops = self._ops()
         for node in alive:
-            lg = self.local_graphs[node]
+            lg, state = self.local_graphs[node], self._state(node)
             for msg in net.deliver(node):
-                payload = msg.payload
-                if isinstance(payload, SyncBatch):
-                    if self._vec is not None:
-                        self._vec.stage_sync_batch(node, payload)
-                    else:
-                        proto.apply_sync_batch(lg, payload,
-                                               self._dirty[node])
-                    continue
-                # Legacy scalar payloads (recovery paths, tests).
-                if self._vec is not None:
-                    self._vec.stage_scalar(node, payload)
-                    continue
-                proto.apply_scalar_sync(lg, payload, self._dirty[node])
+                ops.apply_sync_batch(lg, state, msg.payload)
 
     def _commit_edge_mutations(self) -> None:
         if self._edge_updates:
@@ -910,30 +898,17 @@ class Engine:
     def _commit_values(self, alive: list[int], net) -> int:
         """Commit pending values, resolve activations; returns the
         number of active masters after the superstep."""
-        if self._vec is not None:
-            return self._vec.commit_values(alive, net)
-        proto = self._protocol
-        activation_signals: set[tuple[int, int, int]] = set()
-        for node in alive:
-            lg = self.local_graphs[node]
-            for dst_node, gid in proto.commit_stage1(
-                    lg, self._dirty[node], self.iteration):
-                activation_signals.add((node, dst_node, gid))
-
-        # Vertex-cut: remote activation signals travel to masters.
-        if activation_signals:
-            outboxes: dict[int, dict] = defaultdict(dict)
-            for src_node, dst_node, gid in sorted(activation_signals):
-                outbox = outboxes[src_node]
-                key = (dst_node, MessageKind.ACTIVATE)
-                batch = outbox.get(key)
-                if batch is None:
-                    batch = outbox[key] = ActivateBatch()
-                batch.append(gid)
-            for src_node in sorted(outboxes):
-                self._flush_batches(src_node, outboxes[src_node])
+        ops = self._ops()
+        it = self.iteration
+        nodes = {node: (self.local_graphs[node], self._state(node))
+                 for node in alive}
+        # Stage 1: activation scatter; remote signals travel to masters.
+        outboxes = {node: ops.commit_stage1(*nodes[node], it)
+                    for node in alive}
+        if any(outboxes.values()):
             for node in alive:
-                lg = self.local_graphs[node]
+                self._flush_batches(node, outboxes[node])
+            for node in alive:
                 for msg in net.deliver(node):
                     # The activation exchange must only ever see the
                     # ACTIVATE batch just sent above; blindly treating
@@ -944,15 +919,12 @@ class Engine:
                         raise EngineError(
                             f"unexpected {msg.kind.value} message from "
                             f"node {msg.src} in the activation exchange "
-                            f"of iteration {self.iteration}")
-                    proto.apply_activations(lg, msg.payload.gids,
-                                            self._dirty[node])
+                            f"of iteration {it}")
+                    ops.apply_activations(*nodes[node], msg.payload.gids)
 
-        # Finalise active flags for the touched slots.
+        # Stage 2: commit values and finalise active flags.
         for node in alive:
-            lg = self.local_graphs[node]
-            stale = proto.finalize_commit(lg, self._dirty[node],
-                                          self.iteration)
+            stale = ops.finalize_commit(*nodes[node], it)
             if stale:
                 self._broadcast_pending[node].update(stale)
         return sum(len(self.local_graphs[n].active_masters)

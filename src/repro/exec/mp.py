@@ -3,10 +3,13 @@
 Each cluster node runs as a real ``multiprocessing.Process`` (fork
 start method) owning one partition's :class:`LocalGraph`, forked from
 a pristine parent-side ``Engine`` that itself never runs a superstep.
-Workers execute exactly the scalar :class:`~repro.exec.protocol.
-NodeProtocol` the simulator delegates to; the coordinator drives the
-superstep rounds over per-worker duplex pipes (star topology) and
-routes the encoded columnar batches between workers.
+Workers drive the per-node operations the simulator drives — the array
+operations of :class:`~repro.engine.vectorized.VectorProtocol` when the
+program declares a kernel and ``spec.vectorized`` is set, the scalar
+:class:`~repro.exec.protocol.NodeProtocol` otherwise (column rules in
+:func:`_worker_main`); the coordinator drives the superstep rounds over
+per-worker duplex pipes (star topology) and routes the encoded columnar
+batches between workers.
 
 Determinism / parity
 --------------------
@@ -78,7 +81,7 @@ from typing import Any
 
 from repro.api import make_engine
 from repro.config import MP_HEARTBEAT_INTERVAL_S, MP_HEARTBEAT_MISSES
-from repro.engine.messages import ActivateBatch, RawGatherBatch
+from repro.engine.vectorized import VectorProtocol, column_top_k
 from repro.engine.vertex_program import ApplyContext
 from repro.errors import UnrecoverableFailureError
 from repro.exec.base import (BackendError, BackendRunResult, BackendSpec,
@@ -188,7 +191,19 @@ def _apply_reseed(lg, masters, replicas, activate_gids) -> None:
 
 
 def _worker_main(rank: int, conn, close_conns, engine) -> None:
-    """Worker process main loop: one partition, frame-driven rounds."""
+    """Worker process main loop: one partition, frame-driven rounds.
+
+    Drives :class:`~repro.engine.vectorized.VectorProtocol` when the
+    parent engine installed a vectorized executor, else the scalar
+    :class:`NodeProtocol`, through the same calls the simulator makes.
+    Column rules: the columns are built here, after fork, on the first
+    compute frame; committed columns change only in the finalize round
+    (``commit2``), so ``abort`` drops just the pending arrays; reads
+    take committed values straight from the columns, the frames that
+    read slots (``values``/``extract``/``fullstate``) flush them first,
+    and slot writes from outside the operations (``reseed``/
+    ``recovered``) flush and drop them.
+    """
     for other in close_conns:
         try:
             other.close()
@@ -199,15 +214,21 @@ def _worker_main(rank: int, conn, close_conns, engine) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
     lg = engine.local_graphs[rank]
-    proto = NodeProtocol(engine.program, engine.is_edge_cut,
-                         sync_elision=engine._sync_elision,
-                         selfish_opt=engine.selfish_opt_active,
-                         combining=engine._combining)
+    knobs = dict(sync_elision=engine._sync_elision,
+                 selfish_opt=engine.selfish_opt_active,
+                 combining=engine._combining)
+    proto = NodeProtocol(engine.program, engine.is_edge_cut, **knobs)
+    vectorized = engine._vec is not None
+    ops = (VectorProtocol(engine._vec.kernel, engine.is_edge_cut, **knobs)
+           if vectorized else proto)
     num_vertices = engine.graph.num_vertices
     num_edges = engine.graph.num_edges
-    dirty: dict[int, Any] = {}
-    partials: dict[int, list] = {}
+    # The operations' per-node state: staged slots (scalar) or the
+    # columns (vectorized; None until built, slots authoritative).
+    state: Any = None
+    partials: Any = None
     pending_broadcast: set[int] = set()
+    broadcast_sent = False
 
     def ctx(iteration: int) -> ApplyContext:
         return ApplyContext(iteration=iteration, num_vertices=num_vertices,
@@ -217,6 +238,10 @@ def _worker_main(rank: int, conn, close_conns, engine) -> None:
         return [(dst, kind.value, encode_batch(batch))
                 for (dst, kind), batch in outbox.items()]
 
+    def flush() -> None:
+        if state is not None:
+            ops.flush(lg, state)
+
     while True:
         try:
             frame = conn.recv()
@@ -225,16 +250,14 @@ def _worker_main(rank: int, conn, close_conns, engine) -> None:
         tag = frame[0]
         if tag == "compute":
             it = frame[1]
-            dirty = {}
-            outbox: dict = {}
-            edges, vertices, elided = proto.edge_cut_compute_node(
-                lg, ctx(it), outbox, dirty)
+            state = ops.begin(lg, state)
+            outbox, edges, vertices, elided = ops.edge_cut_compute_node(
+                lg, state, ctx(it))
             conn.send(("computed", it, encode_outbox(outbox),
                        edges, vertices, elided))
         elif tag == "vc0":
             it = frame[1]
-            dirty = {}
-            partials = {}
+            broadcast_sent = bool(pending_broadcast)
             outbox = proto.broadcast_build(lg, pending_broadcast)
             pending_broadcast = set()
             conn.send(("vc0_done", it, encode_outbox(outbox)))
@@ -242,94 +265,93 @@ def _worker_main(rank: int, conn, close_conns, engine) -> None:
             it = frame[1]
             for _src, enc in frame[2]:
                 proto.broadcast_apply(lg, decode_batch(enc))
-            outbox = {}
-            local: list = []
-            edges = proto.vertex_gather(lg, ctx(it), outbox, local)
-            for gid, acc in local:
-                partials.setdefault(gid, []).append((rank, acc))
+            state = ops.begin(lg, state, broadcast_sent or bool(frame[2]))
+            outbox, partials, edges = ops.vertex_gather(lg, state, ctx(it))
             conn.send(("vc1_done", it, encode_outbox(outbox), edges))
         elif tag == "vc2":
             it = frame[1]
             for src, enc in frame[2]:
-                batch = decode_batch(enc)
-                if isinstance(batch, RawGatherBatch):
-                    accs = proto.fold_raw_gather(batch)
-                else:
-                    accs = batch.accs
-                for gid, acc in zip(batch.gids, accs):
-                    partials.setdefault(gid, []).append((src, acc))
-            outbox = {}
-            vertices, elided = proto.master_fold_apply(
-                lg, partials, ctx(it), outbox, dirty)
+                ops.receive_gather(lg, state, partials, src,
+                                   decode_batch(enc))
+            outbox, vertices, elided = ops.master_fold_apply(
+                lg, state, partials, ctx(it))
             conn.send(("vc2_done", it, encode_outbox(outbox),
                        vertices, elided))
         elif tag == "commit":
             it = frame[1]
             for _src, enc in frame[2]:
-                proto.apply_sync_batch(lg, decode_batch(enc), dirty)
-            signals = proto.commit_stage1(lg, dirty, it)
-            by_dst: dict[int, ActivateBatch] = {}
-            for dst, gid in sorted(set(signals)):
-                batch = by_dst.get(dst)
-                if batch is None:
-                    batch = by_dst[dst] = ActivateBatch()
-                batch.append(gid)
-            conn.send(("staged", it,
-                       [(dst, encode_batch(b)) for dst, b in by_dst.items()]))
+                ops.apply_sync_batch(lg, state, decode_batch(enc))
+            acts = ops.commit_stage1(lg, state, it)
+            conn.send(("staged", it, [(dst, encode_batch(batch))
+                                      for (dst, _k), batch in acts.items()]))
         elif tag == "commit2":
             it = frame[1]
             for _src, enc in frame[2]:
-                proto.apply_activations(lg, decode_batch(enc).gids, dirty)
-            stale = proto.finalize_commit(lg, dirty, it)
-            pending_broadcast.update(stale)
-            dirty = {}
+                ops.apply_activations(lg, state, decode_batch(enc).gids)
+            pending_broadcast.update(ops.finalize_commit(lg, state, it))
             conn.send(("committed", it, len(lg.active_masters)))
         elif tag == "abort":
-            for slot in dirty.values():
-                slot.clear_pending()
-            dirty = {}
-            partials = {}
+            if state is not None:
+                ops.abort(lg, state)
+            partials = None
             conn.send(("aborted", frame[1]))
         elif tag == "extract":
+            flush()
             masters, replicas = _extract_records(lg, frame[1])
             conn.send(("extracted", masters, replicas))
         elif tag == "reseed":
             _, masters, replicas, activate_gids, force = frame
+            flush()
+            state = None
             _apply_reseed(lg, masters, replicas, activate_gids)
             if force:
                 _force_rebroadcast(lg, pending_broadcast)
             conn.send(("reseeded",))
         elif tag == "recovered":
             if frame[1]:
+                flush()
+                state = None
                 _force_rebroadcast(lg, pending_broadcast)
             conn.send(("recovered_ack",))
         elif tag == "read":
             # Point reads of committed state: the coordinator only
             # sends these at protocol-safe points (workers idle between
             # rounds, never inside the commit exchange), so every slot
-            # value here is the last committed one.  Any local copy —
-            # master, replica or mirror — answers.
+            # value — or column value, once columns exist — here is the
+            # last committed one.  Any local copy — master, replica or
+            # mirror — answers.
             req_id, gids = frame[1], frame[2]
-            conn.send(("read_done", req_id,
-                       {gid: (lg.slot_of(gid).value
-                              if gid in lg.index_of else None)
-                        for gid in gids}))
+            index = lg.index_of
+            if vectorized and state is not None:
+                out = {gid: (state.values[index[gid]].item()
+                             if gid in index else None) for gid in gids}
+            else:
+                out = {gid: (lg.slots[index[gid]].value
+                             if gid in index else None) for gid in gids}
+            conn.send(("read_done", req_id, out))
         elif tag == "topk":
             # Local-masters top-K by (value desc, gid asc); the
             # coordinator merges the per-rank lists.
             req_id, k = frame[1], frame[2]
-            top = heapq.nlargest(
-                k, ((slot.value, -slot.gid) for slot in lg.iter_masters()))
-            conn.send(("topk_done", req_id,
-                       [(-neg_gid, value) for value, neg_gid in top]))
+            if vectorized and state is not None:
+                out = [(gid, value) for value, gid
+                       in column_top_k(state.topo, state.values, k)]
+            else:
+                top = heapq.nlargest(k, ((slot.value, -slot.gid)
+                                         for slot in lg.iter_masters()))
+                out = [(-neg_gid, value) for value, neg_gid in top]
+            conn.send(("topk_done", req_id, out))
         elif tag == "values":
+            flush()
             conn.send(("values_done",
-                       {slot.gid: slot.value for slot in lg.iter_masters()}))
+                       {slot.gid: slot.value for slot in lg.iter_masters()},
+                       vectorized))
         elif tag == "fullstate":
             # Committed full state of every local master — the
             # coordinator writes it back into the parent engine before a
             # membership reshape (only ever sent at a commit barrier, so
             # no pending fields exist).
+            flush()
             conn.send(("fullstate_done",
                        [(slot.gid, slot.value, slot.last_activates,
                          slot.last_update_iter, slot.mirror_self_active,
@@ -529,6 +551,10 @@ class MultiprocessingBackend(ExecutionBackend):
                  heartbeat_misses: int = MP_HEARTBEAT_MISSES):
         self.heartbeat_s = heartbeat_s
         self.heartbeat_misses = heartbeat_misses
+        #: The heartbeat in force for the current run: the spec's
+        #: override or the constructor defaults, resolved per run.
+        self._beat_s = heartbeat_s
+        self._beat_misses = heartbeat_misses
         self._ctx = None
         self._workers: dict[int, _Worker] = {}
         self._engine = None
@@ -604,13 +630,13 @@ class MultiprocessingBackend(ExecutionBackend):
             conns = {self._workers[r].conn: r for r in pending}
             sentinels = {self._workers[r].proc.sentinel: r for r in pending}
             ready = mpc_wait(list(conns) + list(sentinels),
-                             timeout=self.heartbeat_s)
+                             timeout=self._beat_s)
             if not ready:
                 misses += 1
-                if misses >= self.heartbeat_misses:
+                if misses >= self._beat_misses:
                     raise BackendError(
                         f"workers {sorted(pending)} sent no frame for "
-                        f"{misses * self.heartbeat_s:.1f}s awaiting "
+                        f"{misses * self._beat_s:.1f}s awaiting "
                         f"{tag!r} — wedged")
                 continue
             misses = 0
@@ -671,7 +697,7 @@ class MultiprocessingBackend(ExecutionBackend):
             return
         os.kill(worker.proc.pid, signal.SIGSTOP)
         try:
-            time.sleep(min(2 * self.heartbeat_s, 0.5))
+            time.sleep(min(2 * self._beat_s, 0.5))
         finally:
             os.kill(worker.proc.pid, signal.SIGCONT)
         self._flaps += 1
@@ -744,8 +770,7 @@ class MultiprocessingBackend(ExecutionBackend):
             self._send(rank, ("abort", iteration))
         for rank in survivors:
             conn = self._workers[rank].conn
-            deadline = time.monotonic() + self.heartbeat_s * \
-                self.heartbeat_misses
+            deadline = time.monotonic() + self._beat_s * self._beat_misses
             while True:
                 if not conn.poll(timeout=0.2):
                     if time.monotonic() > deadline:
@@ -948,20 +973,21 @@ class MultiprocessingBackend(ExecutionBackend):
         # The parent engine is the state template: partitioned,
         # replicated and value-initialised in __init__, never run.
         # Workers fork from it, so every rank starts bit-identical to
-        # the simulator's; scalar workers make parent-side vectorized
-        # state irrelevant, so it is not built at all.
+        # the simulator's.  Its vectorized executor (when installed)
+        # only selects the workers' protocol: it never runs, so no
+        # columns exist before the fork — each worker builds its own.
         kwargs = spec.engine_kwargs()
-        kwargs["vectorized"] = False
         # Membership replays through the parent engine's own manager at
         # reshape points — never via the engine's scheduled events (the
         # parent runs no supersteps to pump them).
         kwargs["membership"] = ()
         engine = make_engine(graph, **kwargs)
         self._validate(spec, engine)
-        if spec.heartbeat_interval_s is not None:
-            self.heartbeat_s = spec.heartbeat_interval_s
-        if spec.heartbeat_misses is not None:
-            self.heartbeat_misses = spec.heartbeat_misses
+        self._beat_s = (self.heartbeat_s if spec.heartbeat_interval_s is None
+                        else spec.heartbeat_interval_s)
+        self._beat_misses = (self.heartbeat_misses
+                             if spec.heartbeat_misses is None
+                             else spec.heartbeat_misses)
         self._ctx = multiprocessing.get_context("fork")
         self._engine = engine
         self._standby_left = spec.num_standby
@@ -1040,11 +1066,12 @@ class MultiprocessingBackend(ExecutionBackend):
             wall_s = time.perf_counter() - start
             if self._serve is not None:
                 self._serve.finish(committed=completed - 1)
-            values = self._collect_values()
+            values, vectorized = self._collect_values()
         finally:
             self.close()
             self._engine = None
         extra = {"workers": len(engine.local_graphs),
+                 "vectorized": vectorized,
                  "rebirths": self._rebirths,
                  "standby_left": self._standby_left}
         if spec.membership or self._rebirths:
@@ -1155,7 +1182,9 @@ class MultiprocessingBackend(ExecutionBackend):
             ) from death
         return sum(frame[2] for frame in committed.values()), elided
 
-    def _collect_values(self) -> dict[int, Any]:
+    def _collect_values(self) -> tuple[dict[int, Any], bool]:
+        """Every rank's committed master values, and whether every
+        worker ran the array operations."""
         alive = sorted(self._workers)
         for rank in alive:
             self._send(rank, ("values",))
@@ -1163,4 +1192,4 @@ class MultiprocessingBackend(ExecutionBackend):
         values: dict[int, Any] = {}
         for rank in alive:
             values.update(frames[rank][1])
-        return values
+        return values, all(frames[rank][2] for rank in alive)

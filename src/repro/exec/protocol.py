@@ -16,11 +16,15 @@ the same per-node state in the same deterministic order; only the
 transport underneath differs.
 
 The protocol is written against plain data structures — a
-:class:`LocalGraph`, an ``outbox`` dict keyed ``(dst_node, kind)``
-accumulating columnar batches, and a ``dirty`` map of staged slots —
+:class:`LocalGraph`, a per-node ``state`` (here the ``dirty`` map of
+staged slots), and ``outbox`` dicts keyed ``(dst_node, kind)``
+accumulating columnar batches, which every per-node operation returns —
 and never touches a network, cluster, tracer, or clock.  Everything
 scheduling-related (which nodes run, when batches flush, where chaos
-hooks fire, how time is charged) stays with the backend.
+hooks fire, how time is charged) stays with the backend.  The array
+image :class:`~repro.engine.vectorized.VectorProtocol` has the same
+per-node operations over a node's columns, so a backend drives either
+one through the same calls.
 """
 
 from __future__ import annotations
@@ -29,9 +33,8 @@ from typing import Any
 
 from repro.cluster.network import MessageKind
 from repro.engine.combine import combiner_of, fold_raw_batch
-from repro.engine.messages import (ActiveBroadcastBatch, GatherBatch,
-                                   MirrorSyncPayload, RawGatherBatch,
-                                   SyncBatch)
+from repro.engine.messages import (ActivateBatch, ActiveBroadcastBatch,
+                                   GatherBatch, RawGatherBatch, SyncBatch)
 from repro.utils.sizing import BYTES_PER_VID
 
 
@@ -170,14 +173,20 @@ class NodeProtocol:
 
     # -- per-node compute phases ----------------------------------------
 
-    def edge_cut_compute_node(self, lg, ctx, outbox: dict, dirty: dict,
+    def begin(self, lg, dirty=None, activity_changed: bool = False) -> dict:
+        """A superstep's per-node state: a fresh map of staged slots."""
+        return {}
+
+    def edge_cut_compute_node(self, lg, dirty: dict, ctx,
                               mutation_log: dict | None = None
-                              ) -> tuple[int, int, int]:
+                              ) -> tuple[dict, int, int, int]:
         """One node's edge-cut superstep: gather + apply + stage syncs.
 
-        Returns ``(edges_folded, vertices_computed, syncs_elided)``.
+        Returns ``(outbox, edges_folded, vertices_computed,
+        syncs_elided)``.
         """
         program = self.program
+        outbox: dict = {}
         edges = 0
         vertices = 0
         elided = 0
@@ -190,19 +199,23 @@ class NodeProtocol:
             vertices += 1
             elided += self.compute_master(lg, slot, acc, ctx, outbox,
                                           dirty, updates)
-        return edges, vertices, elided
+        return outbox, edges, vertices, elided
 
-    def vertex_gather(self, lg, ctx, outbox: dict, partials_out: list,
-                      mutation_log: dict | None = None) -> int:
+    def vertex_gather(self, lg, dirty: dict, ctx,
+                      mutation_log: dict | None = None
+                      ) -> tuple[dict, dict, int]:
         """One node's vertex-cut gather phase (phase 1).
 
-        Local partials append to ``partials_out`` as ``(gid, acc)``;
-        remote partials accumulate into per-master ``GatherBatch``
-        outbox entries.  Returns the number of edges folded.
+        Returns ``(outbox, partials, edges_folded)``: remote partials
+        accumulate into per-master ``GatherBatch`` outbox entries, and
+        ``partials`` maps each local master's gid to
+        ``[(sender_node, acc)]``, ready for :meth:`receive_gather`.
         """
         program = self.program
         combiner = self.combiner
         node = lg.node_id
+        outbox: dict = {}
+        partials: dict = {}
         edges = 0
         for gid in (lg.active_masters_snapshot()
                     + lg.active_others_snapshot()):
@@ -233,7 +246,7 @@ class NodeProtocol:
             edges += len(slot.in_edges)
             master_node = node if slot.is_master else slot.master_node
             if master_node == node:
-                partials_out.append((gid, acc))
+                partials[gid] = [(node, acc)]
             elif combiner is not None and not self.combining:
                 key = (master_node, MessageKind.GATHER)
                 batch = outbox.get(key)
@@ -252,21 +265,29 @@ class NodeProtocol:
                 folded = max(1, len(contribs)) if contribs is not None \
                     else None
                 batch.append(gid, acc, program.acc_nbytes(acc), folded)
-        return edges
+        return outbox, partials, edges
 
-    def fold_raw_gather(self, batch: RawGatherBatch) -> list:
-        """Receiver-side fold: one combined accumulator per record."""
-        return fold_raw_batch(batch, self.program)
+    def receive_gather(self, lg, dirty: dict, partials: dict, src: int,
+                       batch) -> None:
+        """Add one received gather batch to ``partials``.  With
+        combining off each raw contribution group folds on receipt into
+        the partial the sender would have shipped combined (DESIGN.md
+        §15)."""
+        accs = (fold_raw_batch(batch, self.program)
+                if isinstance(batch, RawGatherBatch) else batch.accs)
+        for gid, acc in zip(batch.gids, accs):
+            partials.setdefault(gid, []).append((src, acc))
 
-    def master_fold_apply(self, lg, partials: dict, ctx, outbox: dict,
-                          dirty: dict) -> tuple[int, int]:
+    def master_fold_apply(self, lg, dirty: dict, partials: dict, ctx
+                          ) -> tuple[dict, int, int]:
         """One node's vertex-cut apply phase (phase 2).
 
         ``partials`` maps gid -> [(sender_node, acc)]; folds run in
         sender-node order for determinism.  Returns
-        ``(vertices_computed, syncs_elided)``.
+        ``(outbox, vertices_computed, syncs_elided)``.
         """
         program = self.program
+        outbox: dict = {}
         vertices = 0
         elided = 0
         for gid in lg.active_masters_snapshot():
@@ -280,7 +301,7 @@ class NodeProtocol:
             vertices += 1
             elided += self.compute_master(lg, slot, acc, ctx, outbox,
                                           dirty)
-        return vertices, elided
+        return outbox, vertices, elided
 
     # -- vertex-cut activity broadcast (phase 0) ------------------------
 
@@ -311,7 +332,7 @@ class NodeProtocol:
 
     # -- sync application -----------------------------------------------
 
-    def apply_sync_batch(self, lg, batch, dirty: dict) -> None:
+    def apply_sync_batch(self, lg, dirty: dict, batch) -> None:
         """Stage every record of one received sync batch."""
         full = batch.full_state
         for i, gid in enumerate(batch.gids):
@@ -328,29 +349,14 @@ class NodeProtocol:
                         slot.full_edges[idx] = (gid0, pos, weight)
             dirty[gid] = slot
 
-    def apply_scalar_sync(self, lg, payload, dirty: dict) -> None:
-        """Stage one legacy scalar sync payload (recovery paths, tests)."""
-        slot = lg.slot_of(payload.gid)
-        slot.pending_value = payload.value
-        slot.has_pending = True
-        slot.pending_activates = payload.activates
-        if isinstance(payload, MirrorSyncPayload):
-            slot.pending_active = payload.self_active
-            if payload.edge_updates and slot.full_edges is not None:
-                for idx, weight in payload.edge_updates:
-                    gid0, pos, _old = slot.full_edges[idx]
-                    slot.full_edges[idx] = (gid0, pos, weight)
-        dirty[payload.gid] = slot
-
     # -- barrier commit --------------------------------------------------
 
-    def commit_stage1(self, lg, dirty: dict,
-                      iteration: int) -> list[tuple[int, int]]:
+    def commit_stage1(self, lg, dirty: dict, iteration: int) -> dict:
         """Scatter local activations for the staged updates.
 
-        Returns the remote activation signals this node must send, as
-        ``(dst_master_node, gid)`` pairs (possibly with duplicates;
-        the backend dedups globally, matching the engine's signal set).
+        Returns the node's remote-activation outbox: one
+        :class:`ActivateBatch` per master node, deduplicated and in
+        ascending gid order (the engine's sorted signal set).
 
         Committed state stays untouched until :meth:`finalize_commit` —
         everything staged here lives in pending fields and
@@ -359,7 +365,7 @@ class NodeProtocol:
         round: a backend that loses a worker mid-commit can abort the
         survivors and redo the iteration bit-identically.
         """
-        signals: list[tuple[int, int]] = []
+        signals: set[tuple[int, int]] = set()
         # Snapshot: activation marking adds targets to the dirty map.
         for slot in list(dirty.values()):
             if not slot.has_pending:
@@ -373,10 +379,17 @@ class NodeProtocol:
                         target.next_active = True
                         dirty[target.gid] = target
                     else:
-                        signals.append((target.master_node, target.gid))
-        return signals
+                        signals.add((target.master_node, target.gid))
+        outbox: dict = {}
+        for dst, gid in sorted(signals):
+            key = (dst, MessageKind.ACTIVATE)
+            batch = outbox.get(key)
+            if batch is None:
+                batch = outbox[key] = ActivateBatch()
+            batch.append(gid)
+        return outbox
 
-    def apply_activations(self, lg, gids, dirty: dict) -> None:
+    def apply_activations(self, lg, dirty: dict, gids) -> None:
         """Mark remote activation signals received for local masters."""
         for gid in gids:
             slot = lg.slot_of(gid)
@@ -414,3 +427,13 @@ class NodeProtocol:
                 slot.mirror_self_active = slot.pending_active
             slot.clear_pending()
         return stale
+
+    def abort(self, lg, dirty: dict) -> None:
+        """Discard the superstep's staged state."""
+        for slot in dirty.values():
+            slot.clear_pending()
+        dirty.clear()
+
+    def flush(self, lg, dirty: dict) -> bool:
+        """No-op: the slots are always authoritative on this path."""
+        return False

@@ -64,7 +64,14 @@ def _assert_equivalent(sim, mp):
 
 
 class TestDifferentialOracle:
-    """Same graph/program/seed => identical outcome on both backends."""
+    """Same graph/program/seed => identical outcome on both backends.
+
+    ``vectorized`` is one more input of every case: the workers run the
+    array operations here and the scalar ``NodeProtocol`` in the
+    subclass below, each against a simulator run of the same spec.
+    """
+
+    vectorized = True
 
     @pytest.mark.parametrize("partition",
                              ["hash_edge_cut", "random_vertex_cut"])
@@ -77,6 +84,7 @@ class TestDifferentialOracle:
                                              kwargs, partition, ft_level):
         spec = BackendSpec(
             algorithm=algorithm, num_nodes=4, partition=partition,
+            vectorized=self.vectorized,
             ft_mode="none" if ft_level == 0 else "replication",
             ft_level=ft_level, max_iterations=10,
             algorithm_kwargs=kwargs)
@@ -92,7 +100,8 @@ class TestDifferentialOracle:
         the combine counters agree with the simulator's exactly."""
         spec = BackendSpec(algorithm="pagerank", num_nodes=4,
                            partition="random_vertex_cut",
-                           max_iterations=8, combining=combining)
+                           max_iterations=8, combining=combining,
+                           vectorized=self.vectorized)
         sim = SimulatorBackend().run(graph, spec)
         with MultiprocessingBackend() as backend:
             mp = backend.run(graph, spec)
@@ -110,11 +119,13 @@ class TestDifferentialOracle:
         logical tier, across real process boundaries too."""
         on = BackendSpec(algorithm="sssp", num_nodes=4,
                          partition="random_vertex_cut", max_iterations=8,
-                         algorithm_kwargs=(("source", 0),))
+                         algorithm_kwargs=(("source", 0),),
+                         vectorized=self.vectorized)
         off = BackendSpec(algorithm="sssp", num_nodes=4,
                           partition="random_vertex_cut", max_iterations=8,
                           combining=False,
-                          algorithm_kwargs=(("source", 0),))
+                          algorithm_kwargs=(("source", 0),),
+                          vectorized=self.vectorized)
         with MultiprocessingBackend() as backend:
             mp_on = backend.run(graph, on)
         with MultiprocessingBackend() as backend:
@@ -130,10 +141,12 @@ class TestDifferentialOracle:
         """Elision fires on converging SSSP and both backends elide the
         same records (and fewer messages than the elision-off run)."""
         on = BackendSpec(algorithm="sssp", num_nodes=4, max_iterations=12,
-                         algorithm_kwargs=(("source", 0),))
+                         algorithm_kwargs=(("source", 0),),
+                         vectorized=self.vectorized)
         off = BackendSpec(algorithm="sssp", num_nodes=4, max_iterations=12,
                           sync_elision=False,
-                          algorithm_kwargs=(("source", 0),))
+                          algorithm_kwargs=(("source", 0),),
+                          vectorized=self.vectorized)
         sim_on = SimulatorBackend().run(graph, on)
         sim_off = SimulatorBackend().run(graph, off)
         with MultiprocessingBackend() as backend:
@@ -144,6 +157,61 @@ class TestDifferentialOracle:
         _assert_equivalent(sim_off, mp_off)
         assert mp_on.syncs_elided > 0
         assert mp_on.total_msgs < mp_off.total_msgs
+
+
+class TestDifferentialOracleScalarWorkers(TestDifferentialOracle):
+    """The same oracle with ``vectorized=False``: scalar workers."""
+
+    vectorized = False
+
+
+class TestWorkerProtocol:
+    """Workers run the array operations exactly when the simulator
+    would: the program declares a kernel and the spec asks for it."""
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_follows_spec(self, graph, vectorized):
+        spec = BackendSpec(algorithm="pagerank", num_nodes=2,
+                           max_iterations=2, vectorized=vectorized)
+        with MultiprocessingBackend() as backend:
+            result = backend.run(graph, spec)
+        assert result.extra["vectorized"] is vectorized
+
+    def test_falls_back_without_kernel(self, graph, monkeypatch):
+        monkeypatch.setattr(PageRank, "kernel", lambda self: None)
+        spec = BackendSpec(algorithm="pagerank", num_nodes=2,
+                           max_iterations=4)
+        sim = SimulatorBackend().run(graph, spec)
+        with MultiprocessingBackend() as backend:
+            mp = backend.run(graph, spec)
+        assert mp.extra["vectorized"] is False
+        _assert_equivalent(sim, mp)
+
+
+class TestHeartbeatResolution:
+    def test_spec_override_does_not_leak_into_later_runs(self, graph):
+        """A spec's heartbeat override holds for its own run only; the
+        next run on the same backend uses the constructor defaults."""
+        backend = MultiprocessingBackend(heartbeat_s=0.2,
+                                         heartbeat_misses=40)
+        seen: list = []
+        collect = backend._collect
+
+        def spy(*args, **kwargs):
+            seen.append((backend._beat_s, backend._beat_misses))
+            return collect(*args, **kwargs)
+
+        backend._collect = spy
+        with backend:
+            backend.run(graph, BackendSpec(
+                algorithm="pagerank", num_nodes=2, max_iterations=2,
+                heartbeat_interval_s=0.05, heartbeat_misses=7))
+            first, seen[:] = set(seen), []
+            backend.run(graph, BackendSpec(
+                algorithm="pagerank", num_nodes=2, max_iterations=2))
+        assert first == {(0.05, 7)}
+        assert set(seen) == {(0.2, 40)}
+        assert (backend.heartbeat_s, backend.heartbeat_misses) == (0.2, 40)
 
 
 class TestRealKillRecovery:
