@@ -299,8 +299,8 @@ class ReadConsistencyChecker:
     """Serve-hook twin of the value-agreement invariant (DESIGN.md §13).
 
     Attached via :meth:`Engine.attach_serve` (NOT as a chaos plugin):
-    serve hooks run *before* any chaos-driven column flush, so every
-    comparison goes through the flush-free committed read path
+    serve hooks run *before* the chaos plugins, and every comparison
+    goes through the committed read path
     (:meth:`Engine.committed_value_at`) — exactly what the read router
     serves.  At every commit point (``post_commit``/``post_recovery``)
     it asserts that each master's committed read equals the committed

@@ -55,18 +55,18 @@ class ConstructionReport:
 
 
 def build_local_graphs(graph: Graph, partitioning,
-                       plan: ReplicationPlan
+                       plan: ReplicationPlan, dtype=object
                        ) -> tuple[dict[int, LocalGraph],
                                   ConstructionReport]:
     """Materialise each node's local graph.
 
     Returns ``(local_graphs, report)`` where ``local_graphs`` maps node
-    id to its :class:`LocalGraph`.
+    id to its :class:`LocalGraph`; ``dtype`` is their value column's.
     """
     if isinstance(partitioning, EdgeCutPartitioning):
-        return _build_edge_cut(graph, partitioning, plan)
+        return _build_edge_cut(graph, partitioning, plan, dtype)
     if isinstance(partitioning, VertexCutPartitioning):
-        return _build_vertex_cut(graph, partitioning, plan)
+        return _build_vertex_cut(graph, partitioning, plan, dtype)
     raise EngineError(
         f"unsupported partitioning: {type(partitioning).__name__}")
 
@@ -88,12 +88,12 @@ def _census(plan: ReplicationPlan) -> tuple[int, int, int, int]:
 
 
 def _make_slots(graph: Graph, plan: ReplicationPlan,
-                num_nodes: int) -> dict[int, LocalGraph]:
+                num_nodes: int, dtype) -> dict[int, LocalGraph]:
     """Create all vertex slots (no edges yet) in deterministic order."""
     out_deg = graph.out_degrees()
     in_deg = graph.in_degrees()
     locals_: dict[int, LocalGraph] = {
-        node: LocalGraph(node) for node in range(num_nodes)}
+        node: LocalGraph(node, dtype) for node in range(num_nodes)}
     master_of = np.asarray(plan.master_of)
 
     # Pass 1: masters, vertex-id order.
@@ -147,9 +147,9 @@ def _make_slots(graph: Graph, plan: ReplicationPlan,
 
 
 def _build_edge_cut(graph: Graph, partitioning: EdgeCutPartitioning,
-                    plan: ReplicationPlan
+                    plan: ReplicationPlan, dtype
                     ) -> tuple[dict[int, LocalGraph], ConstructionReport]:
-    locals_ = _make_slots(graph, plan, partitioning.num_nodes)
+    locals_ = _make_slots(graph, plan, partitioning.num_nodes, dtype)
     master_of = np.asarray(plan.master_of)
 
     # Edge linkage: the target's master owns the edge; the source's
@@ -184,9 +184,9 @@ def _build_edge_cut(graph: Graph, partitioning: EdgeCutPartitioning,
 
 
 def _build_vertex_cut(graph: Graph, partitioning: VertexCutPartitioning,
-                      plan: ReplicationPlan
+                      plan: ReplicationPlan, dtype
                       ) -> tuple[dict[int, LocalGraph], ConstructionReport]:
-    locals_ = _make_slots(graph, plan, partitioning.num_nodes)
+    locals_ = _make_slots(graph, plan, partitioning.num_nodes, dtype)
     edge_node = np.asarray(partitioning.edge_node)
 
     # Edge linkage: each edge lives on its assigned node; both

@@ -44,8 +44,8 @@ from repro.costmodel import (
 )
 from repro.engine.construction import ConstructionReport, build_local_graphs
 from repro.engine.messages import SyncBatch
-from repro.engine.state import VertexSlot
-from repro.engine.vectorized import NO_COLUMN, VectorizedExecutor
+from repro.engine.state import Role, VertexSlot
+from repro.engine.vectorized import VectorProtocol
 from repro.engine.vertex_program import ApplyContext, VertexProgram
 from repro.errors import (
     EngineError,
@@ -170,9 +170,18 @@ class Engine:
             with self.tracer.span("load.replicate", cat="load"):
                 self.plan = plan_replication(graph, partitioning, plan_cfg,
                                              seed=self.seed)
+            #: Vectorized SoA fast path (DESIGN.md §11): engaged when
+            #: the config allows it AND the program declares an array
+            #: kernel; edge-mutating programs always run scalar.  Chosen
+            #: before construction: the kernel's dtype is the value
+            #: column's of every local graph this engine creates.
+            kernel = (program.kernel()
+                      if (self.job.engine.vectorized
+                          and not program.mutates_edges) else None)
+            self.value_dtype = object if kernel is None else kernel.dtype
             with self.tracer.span("load.construct", cat="load"):
                 self.local_graphs, self.construction = build_local_graphs(
-                    graph, partitioning, self.plan)
+                    graph, partitioning, self.plan, dtype=self.value_dtype)
             for node_id, lg in self.local_graphs.items():
                 self.cluster.node(node_id).local = lg
             self.master_node_of: list[int] = [int(n)
@@ -184,8 +193,8 @@ class Engine:
             self._sync_elision = self.job.engine.sync_elision
             self._combining = self.job.engine.combining
             #: Backend-agnostic per-node protocol (DESIGN.md §12): the
-            #: per-node loops below drive it (or the vectorized
-            #: executor's array image of it, see :meth:`_ops`), and the
+            #: per-node loops below drive it (or its array image
+            #: :attr:`_vec`, see :meth:`_ops`), and the
             #: multiprocessing workers drive the same operations.
             #: ``selfish_opt`` is refreshed at every superstep from
             #: :attr:`selfish_opt_active`.
@@ -194,14 +203,13 @@ class Engine:
                 sync_elision=self._sync_elision,
                 selfish_opt=False,
                 combining=self._combining)
-            #: Vectorized SoA fast path (DESIGN.md §11): engaged when
-            #: the config allows it AND the program declares an array
-            #: kernel; edge-mutating programs always run scalar.
-            kernel = (program.kernel()
-                      if (self.job.engine.vectorized
-                          and not program.mutates_edges) else None)
-            self._vec = (VectorizedExecutor(self, kernel)
+            #: The array image of the protocol when the kernels are
+            #: installed (else ``None``), and its per-node states.
+            self._vec = (VectorProtocol(kernel, self.is_edge_cut,
+                                        sync_elision=self._sync_elision,
+                                        combining=self._combining)
                          if kernel is not None else None)
+            self._vec_states: dict[int, Any] = {}
 
             # -- fault-tolerance wiring --------------------------------
             self.ckpt: CheckpointManager | None = None
@@ -258,8 +266,7 @@ class Engine:
         #: ``on_phase(engine, phase)`` at every hook point.
         self._chaos_plugins: list[Any] = []
         #: Serve hooks (read pumps, read-consistency checkers): called
-        #: at every phase hook *before* any chaos-driven column flush,
-        #: so point reads exercise the flush-free committed path.
+        #: at every phase hook, before the chaos plugins.
         self._serve_hooks: list[Any] = []
         self.iteration_stats: list[IterationStats] = []
         self.recoveries: list[RecoveryStats] = []
@@ -329,9 +336,9 @@ class Engine:
 
         Like a chaos plugin, a serve hook exposes
         ``on_phase(engine, phase)`` and runs at every phase hook — but
-        *before* the chaos plugins and before any vectorized-column
-        flush, so the hook's point reads go through the flush-free
-        committed-value path (DESIGN.md §13).
+        *before* the chaos plugins, so its reads see the committed
+        state before any fault injected at the same hook (DESIGN.md
+        §13).
         """
         self._serve_hooks.append(hook)
 
@@ -480,8 +487,6 @@ class Engine:
 
     def values(self) -> dict[int, Any]:
         """Current committed value of every vertex (from its master)."""
-        if self._vec is not None:
-            self._vec.flush()
         out: dict[int, Any] = {}
         for v in range(self.graph.num_vertices):
             node = self.master_node_of[v]
@@ -491,33 +496,23 @@ class Engine:
     def value_of(self, gid: int) -> Any:
         """Committed value of one vertex, read from its master.
 
-        A point read (DESIGN.md §13): neither materializes the full
-        :meth:`values` dict nor triggers a whole-column vectorized
-        writeback — when a committed SoA column is cached the value is
-        read straight from it, otherwise from the slot.
+        A point read (DESIGN.md §13): one column entry, without
+        materializing the full :meth:`values` dict.
         """
         return self.committed_value_at(self.master_node_of[gid], gid)
 
     def committed_value_at(self, node: int, gid: int) -> Any:
-        """Flush-free committed read of one vertex copy on one node.
+        """Committed read of one vertex copy on one node.
 
         Valid for any copy — master, mirror or plain replica; between
         barriers every copy holds the value committed at
         :attr:`committed_iteration` (the replica value-agreement
         invariant), which is exactly what this returns.
         """
-        lg = self.local_graphs[node]
-        pos = lg.index_of[gid]
-        if self._vec is not None:
-            value = self._vec.committed_value(node, pos)
-            if value is not NO_COLUMN:
-                return value
-        return lg.slots[pos].value
+        return self.local_graphs[node].slot_of(gid).value
 
     def memory_report(self) -> dict[int, int]:
         """Per-node resident bytes of graph state (Tables 3 and 7)."""
-        if self._vec is not None:
-            self._vec.flush()
         return {node: lg.memory_nbytes(self.program)
                 for node, lg in self.local_graphs.items()
                 if self.cluster.node(node).is_alive}
@@ -532,24 +527,28 @@ class Engine:
 
     def _init_values(self) -> None:
         ctx = self._ctx()
-        init_cache: dict[int, Any] = {}
+        program = self.program
+        init_cache: dict[int, tuple[Any, bool]] = {}
         for lg in self.local_graphs.values():
+            lg.column("last_activates")[:] = False
+            lg.column("last_update_iter")[:] = -1
             for slot in lg.iter_slots():
-                if slot.gid not in init_cache:
-                    init_cache[slot.gid] = self.program.initial_value(
-                        slot.gid, ctx)
-                slot.value = init_cache[slot.gid]
-                lg.set_active(slot,
-                              self.program.is_initially_active(slot.gid))
-                slot.last_activates = False
-                slot.last_update_iter = -1
-                if slot.is_master:
-                    slot.replicas_known_active = slot.active
-                    # Masters mirror their own committed self-activity so
-                    # recovery snapshots of mirror state stay truthful.
-                    slot.mirror_self_active = slot.active
-                if slot.is_mirror:
-                    slot.mirror_self_active = slot.active
+                gid = slot.gid
+                init = init_cache.get(gid)
+                if init is None:
+                    init = init_cache[gid] = (
+                        program.initial_value(gid, ctx),
+                        program.is_initially_active(gid))
+                value, active = init
+                slot.value = value
+                lg.set_active(slot, active)
+                if slot.role is Role.MASTER:
+                    slot.replicas_known_active = active
+                # Mirrors track the master's self-activity, and masters
+                # mirror their own so recovery snapshots of mirror state
+                # stay truthful.
+                if slot.role is not Role.REPLICA:
+                    slot.mirror_self_active = active
 
     def _write_edge_ckpt_files(self) -> None:
         """Persist per-node edge files for vertex-cut FT (Section 4.3).
@@ -611,16 +610,10 @@ class Engine:
 
     def _chaos_point(self, phase: str) -> None:
         """Invoke serve hooks, then every chaos plugin, at a phase hook."""
-        # Serve hooks first, before any flush: their reads must take
-        # the flush-free committed-column path (DESIGN.md §13).
+        # Serve hooks first: their reads see the committed state before
+        # any fault a plugin injects at this hook (DESIGN.md §13).
         for hook in self._serve_hooks:
             hook.on_phase(self, phase)
-        if not self._chaos_plugins:
-            return
-        # Plugins inspect slot state directly; surface any deferred
-        # vectorized column commits first.
-        if self._vec is not None:
-            self._vec.flush()
         for plugin in self._chaos_plugins:
             plugin.on_phase(self, phase)
 
@@ -687,20 +680,22 @@ class Engine:
     # -- per-node operations ---------------------------------------------
 
     def _ops(self):
-        """The per-node operations this engine runs: the vectorized
-        executor's array protocol when installed, else the scalar
+        """The per-node operations this engine runs: the array
+        :class:`VectorProtocol` when installed, else the scalar
         :class:`NodeProtocol` — driven through the same calls."""
-        ops = self._protocol if self._vec is None else self._vec.ops
+        ops = self._protocol if self._vec is None else self._vec
         ops.selfish_opt = self.selfish_opt_active
         return ops
 
-    def _state(self, node: int, activity_changed: bool = False):
+    def _state(self, node: int):
         """A node's per-superstep state for :meth:`_ops`: its staged
-        slots, or its cached columns (``activity_changed`` re-reads
-        their activity flags after phase-0 slot writes)."""
+        slots, or its cached topology and staging arrays."""
         if self._vec is None:
             return self._dirty[node]
-        return self._vec.state(node, activity_changed)
+        st = self._vec.begin(self.local_graphs[node],
+                             self._vec_states.get(node))
+        self._vec_states[node] = st
+        return st
 
     # -- edge-cut ---------------------------------------------------------
 
@@ -772,17 +767,13 @@ class Engine:
         mutation_log = (self._edge_updates
                         if self.program.mutates_edges else None)
 
-        # Phase 0 writes activity flags into the slots; cached columns
-        # re-read them (skipped when nothing was pending — the common
-        # case for always-active programs).
-        changed = any(self._broadcast_pending.get(n) for n in alive)
         self._vertex_cut_broadcast(alive, net)
 
         # Phase 1: local partial gathers flow to masters.
         partials: dict[int, Any] = {}
         for node in alive:
             outbox, partials[node], edges = ops.vertex_gather(
-                self.local_graphs[node], self._state(node, changed), ctx,
+                self.local_graphs[node], self._state(node), ctx,
                 mutation_log)
             self._flush_batches(node, outbox)
             self._step_edges[node] += edges
@@ -818,10 +809,8 @@ class Engine:
             ckpt_time = self._commit_barrier_inner(alive, net, sp)
         self._finish_iteration_stats(alive, net, ckpt_time)
         # The barrier committed: reads served from here on reflect this
-        # superstep (the vectorized columns already hold it, flushed or
-        # not — the read path never needs the slot writeback).  Any
-        # recovery-recomputed selfish values are now the committed
-        # values, so the read fence closes.
+        # superstep.  Any recovery-recomputed selfish values are now the
+        # committed values, so the read fence closes.
         self.committed_iteration = self.iteration
         if self.selfish_read_fence:
             self.selfish_read_fence.clear()
@@ -847,9 +836,6 @@ class Engine:
         # mode this is the opt-in low-frequency safety net instead.
         ckpt_time = 0.0
         if self.ckpt is not None and self.ckpt.due(self.iteration):
-            # Checkpoints read the slots; surface deferred commits.
-            if self._vec is not None:
-                self._vec.flush()
             if self._safety_ckpt:
                 ckpt_time = self.ckpt.safety_checkpoint(
                     self.iteration, self.local_graphs, self.program,
@@ -1024,8 +1010,6 @@ class Engine:
         self._flapped_pending = []
         if not flapped:
             return
-        if self._vec is not None:
-            self._vec.flush()
         net = self.cluster.network
         net.begin_step()
         alive = self._alive()
@@ -1114,11 +1098,6 @@ class Engine:
                        alive: list[int]) -> None:
         """One throttled background-repair round toward ``target``."""
         from repro.ft import _recovery_common as common
-        if self._vec is not None:
-            # Write deferred column commits back and drop the caches:
-            # repair snapshots master slots and adds new copies
-            # underneath them (same contract as MembershipManager.pump).
-            self._vec.rollback()
         net = self.cluster.network
         net.begin_step()
         created, bytes_sent = common.restore_ft_level(
@@ -1198,26 +1177,19 @@ class Engine:
     def _rollback(self) -> None:
         """Discard the failed superstep (Algorithm 1, line 9)."""
         net = self.cluster.network
+        ops = self._ops()
+        states = self._dirty if self._vec is None else self._vec_states
         for node in self._alive():
             net.deliver(node)  # drain and drop
-            for slot in self._dirty.get(node, {}).values():
-                slot.clear_pending()
+            if node in states:
+                ops.abort(self.local_graphs[node], states[node])
         self._dirty = {}
-        if self._vec is not None:
-            self._vec.rollback()
 
     def _recover(self, failed: tuple[int, ...]) -> None:
         # The explicit degraded window: reads served between here and
         # the end of recovery fall back to surviving replicas and are
         # tagged ``degraded=True`` by the router (DESIGN.md §13).
         self.in_recovery = True
-        # Recovery reads survivor slots throughout, and every protocol
-        # may rewrite slot arrays / edge lists / replica metadata in
-        # place — flush the vectorized executor's deferred commits and
-        # drop its cached columns up front (recovery only runs at
-        # barrier boundaries, where no pending staging exists).
-        if self._vec is not None:
-            self._vec.rollback()
         # Elect the coordinator for this recovery term before the
         # chaos hook, so a schedule targeting "leader" can kill it
         # mid-recovery (DESIGN.md §14).
@@ -1285,8 +1257,7 @@ class Engine:
         self._refresh_broadcast_state()
         # Recovery protocols rewrite slot arrays, edge lists and replica
         # metadata in place — including on survivors that saw no local
-        # add/remove — so every SoA topology cache is stale now (the
-        # executor's dynamic columns were already dropped on entry).
+        # add/remove — so every SoA topology cache is stale now.
         for lg in self.local_graphs.values():
             lg.invalidate_soa()
         post = self.cluster.clocks.barrier(self.model, self._alive())
@@ -1543,7 +1514,8 @@ class Engine:
         else:
             rebuild = set(failed)
         rebuilt_all, _ = build_local_graphs(self.graph, self.partitioning,
-                                            self.plan) \
+                                            self.plan,
+                                            dtype=self.value_dtype) \
             if rebuild else ({}, None)
         ctx = self._ctx()
         for node in sorted(rebuild):
@@ -1603,7 +1575,8 @@ class Engine:
                 self.cluster.restart_node(node)
         alive = self._alive()
         rebuilt_all, _ = build_local_graphs(self.graph, self.partitioning,
-                                            self.plan)
+                                            self.plan,
+                                            dtype=self.value_dtype)
         for node in sorted(rebuilt_all):
             self.local_graphs[node] = rebuilt_all[node]
             self.cluster.node(node).local = rebuilt_all[node]

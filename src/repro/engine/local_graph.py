@@ -5,24 +5,51 @@ recovering a crashed node is a matter of writing each received vertex
 back into its recorded position — no name resolution, no locks
 (Section 5.1.2).  Positions are never reused while a job runs; slots
 vacated by Migration keep a tombstone ``None``.
+
+The dynamic state of every placed slot lives in per-position columns
+owned by the graph, one per :data:`~repro.engine.state.COLUMN_FIELDS`
+entry (DESIGN.md §11).  Slot attributes read and write them; the
+vectorized kernels operate on them whole.  A tombstoned position keeps
+a dead entry.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import heapq
+from typing import Any, Iterator
 
-from repro.engine.state import Role, VertexSlot
+import numpy as np
+
+from repro.engine.state import COLUMN_DEFAULTS, COLUMN_FIELDS, Role, VertexSlot
 from repro.engine.vertex_program import VertexProgram, VertexView
 from repro.errors import EngineError
 
+_COLUMN_INDEX = {name: i for i, name in enumerate(COLUMN_FIELDS)}
+
 
 class LocalGraph:
-    """One node's vertex array plus gid index."""
+    """One node's vertex array, gid index and dynamic-state columns."""
 
-    def __init__(self, node_id: int):
+    def __init__(self, node_id: int, dtype=object):
         self.node_id = node_id
         self.slots: list[VertexSlot | None] = []
         self.index_of: dict[int, int] = {}
+        #: dtype of the value column: the array kernel's when the
+        #: engine runs them, else ``object`` (the program's own values).
+        self.dtype = np.dtype(dtype)
+        dtypes = (self.dtype, bool, bool, np.int64, bool, bool)
+        #: Column storage in ``COLUMN_FIELDS`` order, capacity-sized
+        #: (grown by doubling).
+        self._columns = [np.empty(0, dtype=d) for d in dtypes]
+        #: Per-column scalar accessors, shared by every placed slot and
+        #: updated in place on growth: a ``memoryview`` for numeric
+        #: columns (Python scalars on read), the array itself for the
+        #: object column.
+        self._access: list[Any] = list(self._columns)
+        #: Fill of fresh column entries; also what a detached ``None``
+        #: value becomes on placement (a numeric column holds no None).
+        self._fills = ((None if self.dtype == object else 0),
+                       *COLUMN_DEFAULTS[1:])
         #: gids of *master* slots whose ``active`` flag is set — the
         #: engine's compute loops iterate these instead of scanning the
         #: array, so sparse supersteps (SSSP tails) cost O(active), not
@@ -41,13 +68,35 @@ class LocalGraph:
         #: whenever the slot array or edge lists change shape.
         self._topology = None
 
+    def _grow(self, size: int) -> None:
+        """Grow the columns to hold ``size`` positions (at least
+        doubling, so appends one at a time cost amortised O(1))."""
+        cap = max(size, 2 * len(self._columns[0]))
+        grown = []
+        for col, fill in zip(self._columns, self._fills):
+            new = np.full(cap, fill, dtype=col.dtype)
+            new[:len(col)] = col
+            grown.append(new)
+        self._columns = grown
+        self._access[:] = [col if col.dtype == object else memoryview(col)
+                           for col in grown]
+
+    def column(self, field: str) -> np.ndarray:
+        """The live column of a dynamic slot field over positions
+        ``[0, len(slots))`` — a view: writes land in the slots."""
+        return self._columns[_COLUMN_INDEX[field]][:len(self.slots)]
+
     # -- construction -----------------------------------------------------
 
     def add_slot(self, slot: VertexSlot, position: int | None = None) -> int:
-        """Append (or place at a fixed position) one vertex slot."""
+        """Append (or place at a fixed position) one detached vertex
+        slot; its dynamic fields move into the columns."""
         if slot.gid in self.index_of:
             raise EngineError(
                 f"vertex {slot.gid} already present on node {self.node_id}")
+        if slot._access is not None:
+            raise EngineError(
+                f"vertex {slot.gid} is already placed in a local graph")
         if position is None:
             position = len(self.slots)
             self.slots.append(slot)
@@ -58,9 +107,21 @@ class LocalGraph:
                 raise EngineError(
                     f"position {position} on node {self.node_id} occupied")
             self.slots[position] = slot
+        if len(self.slots) > len(self._columns[0]):
+            self._grow(len(self.slots))
+        value, active, activates, stamp, self_active, known = \
+            slot._detached
+        cols = self._access
+        cols[0][position] = self._fills[0] if value is None else value
+        cols[1][position] = active
+        cols[2][position] = activates
+        cols[3][position] = stamp
+        cols[4][position] = self_active
+        cols[5][position] = known
+        slot._access, slot._pos, slot._detached = cols, position, None
         self.index_of[slot.gid] = position
         self._topology = None
-        if slot.active:
+        if active:
             self.set_active(slot, True)
         return position
 
@@ -82,13 +143,19 @@ class LocalGraph:
         self._others_snapshot = None
 
     def remove_slot(self, gid: int) -> VertexSlot:
-        """Tombstone a slot (Migration moves vertices between nodes)."""
+        """Tombstone a slot (Migration moves vertices between nodes).
+
+        The returned slot is detached: its dynamic fields move out of
+        the columns into its own copy.
+        """
         position = self.index_of.pop(gid, None)
         if position is None:
             raise EngineError(
                 f"vertex {gid} not present on node {self.node_id}")
         slot = self.slots[position]
         self.slots[position] = None
+        slot._detached = [col[position] for col in self._access]
+        slot._access, slot._pos = None, -1
         self.active_masters.discard(gid)
         self.active_others.discard(gid)
         self._masters_snapshot = None
@@ -96,7 +163,8 @@ class LocalGraph:
         self._topology = None
         return slot
 
-    def set_active_bulk(self, positions, flags) -> None:
+    def set_active_bulk(self, positions: list[int],
+                        flags: list[bool]) -> None:
         """Vectorized bulk form of :meth:`set_active`, by position.
 
         Used by the barrier commit of the vectorized path; must keep
@@ -105,11 +173,11 @@ class LocalGraph:
         snapshot here would feed the next superstep's compute loop the
         previous superstep's active set).
         """
+        self.column("active")[positions] = flags
         masters, others = self.active_masters, self.active_others
         slots = self.slots
         for pos, flag in zip(positions, flags):
             slot = slots[pos]
-            slot.active = flag
             gid = slot.gid
             if flag:
                 if slot.role is Role.MASTER:
@@ -197,9 +265,29 @@ class LocalGraph:
         """Neighbor view for gather, by local position."""
         slot = self.slots[position]
         assert slot is not None
-        return VertexView(vid=slot.gid, value=slot.value,
+        return VertexView(vid=slot.gid, value=self._access[0][position],
                           out_degree=slot.out_degree,
                           in_degree=slot.in_degree)
+
+    def top_k_masters(self, k: int,
+                      largest: bool = True) -> list[tuple[Any, int]]:
+        """This node's K masters with extreme committed values, as
+        ``(value, gid)`` pairs best-first.
+
+        Deterministic selection — ties break toward the lower gid — so
+        every node and backend picks the same K set.  Numeric columns
+        select with one lexsort; object values go through a heap.
+        """
+        if self.dtype == object:
+            items = [(slot.value, slot.gid) for slot in self.iter_masters()]
+            if largest:
+                return heapq.nlargest(k, items, key=lambda t: (t[0], -t[1]))
+            return heapq.nsmallest(k, items)
+        topo = self.topology()
+        pos = np.flatnonzero(topo.is_master)
+        vals, gids = self.column("value")[pos], topo.gids[pos]
+        order = np.lexsort((gids, -vals if largest else vals))[:k]
+        return list(zip(vals[order].tolist(), gids[order].tolist()))
 
     # -- stats ------------------------------------------------------------------
 

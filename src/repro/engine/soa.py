@@ -1,9 +1,7 @@
 """Structure-of-arrays topology cache for one node's local graph.
 
-The per-vertex :class:`~repro.engine.state.VertexSlot` array stays the
-authoritative store (recovery writes it positionally, checkpoints read
-it), but the vectorized compute path needs the *static* shape of a
-node's graph as flat numpy arrays: role masks, degrees, the local
+The vectorized compute path needs the *static* shape of a node's
+graph as flat numpy arrays: role masks, degrees, the local
 in-/out-edge lists in CSR-style per-edge arrays, and the master->replica
 sync fan-out grouped by destination.  :class:`NodeTopology` is that
 snapshot, built lazily from the slot array and cached on the
@@ -12,11 +10,9 @@ mutates (``add_slot``/``remove_slot``, or the blanket invalidation the
 engine issues after any recovery, which may rewrite edge lists and
 replica metadata in place on nodes that saw no local slot churn).
 
-Dynamic state (values, activity flags) deliberately does NOT live
-here — the executor caches those columns separately, dual-writes them
-at every barrier commit, and rebuilds them whenever this topology
-object is replaced, so recovery, checkpointing and chaos plugins keep
-seeing exact state at every barrier.
+Dynamic state (values, activity flags) does NOT live here: it is the
+local graph's own per-position columns, which survive a topology
+rebuild untouched.
 """
 
 from __future__ import annotations

@@ -3,50 +3,36 @@
 Runs one superstep array-at-a-time when the vertex program declares an
 :class:`~repro.algorithms.kernels.ArrayKernel`, replacing the
 per-vertex compute / sync-build / receive-staging / commit loops of
-:class:`~repro.exec.protocol.NodeProtocol` while keeping the per-vertex
-:class:`~repro.engine.state.VertexSlot` array authoritative at every
-barrier boundary.  The contract (DESIGN.md §11) is *bit-for-bit*
-equality with the scalar loop: identical committed values, activity
-sets, message/byte counters, elision counts and simulated time.
+:class:`~repro.exec.protocol.NodeProtocol`.  The contract (DESIGN.md
+§11) is *bit-for-bit* equality with the scalar loop: identical
+committed values, activity sets, message/byte counters, elision counts
+and simulated time.
 
-Two layers, mirroring the scalar split between ``NodeProtocol`` and
-the backends that drive it:
-
-* :class:`VectorProtocol` — per-node array operations on one node's
-  :class:`_NodeState`, with the same calls as ``NodeProtocol`` (the
-  state takes the place of its ``dirty`` map): edge-cut compute,
-  vertex-cut gather and fold+apply, sync staging, the two-stage
-  commit, abort.  Each returns its outbox and counters and never
-  touches an engine, network or clock, so the engine's per-node loops
-  and the multiprocessing workers drive either protocol the same way.
-* :class:`VectorizedExecutor` — the simulator's column cache: one
-  state per node, the deferred slot writeback and flush-free
-  committed reads.
+:class:`VectorProtocol` is the array image of ``NodeProtocol``: the
+same per-node calls — edge-cut compute, vertex-cut gather and
+fold+apply, sync staging, the two-stage commit, abort — over one
+node's :class:`_NodeState` (which takes the place of the scalar
+``dirty`` map).  Each returns its outbox and counters and never
+touches an engine, network or clock, so the engine's per-node loops
+and the multiprocessing workers drive either protocol the same way.
 
 Lifecycle
 ---------
-* Dynamic columns (values, activity flags) are read from the slots on
-  first touch of a node and then *carried across supersteps*: the
-  finalize round writes every committed update into the columns, so at
-  each barrier the columns equal the slots (after :meth:`~VectorProtocol.
-  flush`) exactly.
-* A state is keyed by topology identity — any code path that rewrites
-  slots outside the operations also invalidates the SoA topology
-  (recovery's blanket :meth:`LocalGraph.invalidate_soa`,
-  ``add_slot``/``remove_slot``), which rebuilds the columns from the
-  slots.  The one slot mutation that happens *without* a topology
-  change is the vertex-cut phase-0 activity broadcast; the caller
-  passes ``activity_changed`` to :meth:`VectorProtocol.begin` after it
-  (only on supersteps where a broadcast was actually pending).
-* Compute stages results into pending *arrays* (not slot fields);
-  received sync batches stage into the same arrays.
+* The dynamic state is the :class:`~repro.engine.local_graph.
+  LocalGraph`'s own columns (values, activity flags, update stamps):
+  the operations read and write them in place, and every slot
+  attribute reads the same storage, so there is no second copy to
+  write back or re-read.
+* A :class:`_NodeState` holds only the node's SoA topology and the
+  superstep staging; it stays valid while the graph's cached topology
+  is the same object (``add_slot``/``remove_slot`` and recovery's
+  blanket :meth:`LocalGraph.invalidate_soa` replace it).
+* Compute stages results into pending *arrays*; received sync batches
+  stage into the same arrays.
 * Commit stage 1 only scatters activations into ``next_active``; the
-  committed value/flag columns are written in :meth:`~VectorProtocol.
-  finalize_commit`, so the whole exchange stays abortable until then
-  and :meth:`~VectorProtocol.abort` just drops the pending masks.  The
-  slot writeback of committed values is deferred (``unflushed``) to
-  :meth:`~VectorProtocol.flush`; activity is written to the slots
-  eagerly.
+  columns are written in :meth:`~VectorProtocol.finalize_commit`, so
+  the whole exchange stays abortable until then and
+  :meth:`~VectorProtocol.abort` just drops the pending masks.
 
 Ordering notes: records within one batch are emitted in *position*
 order here versus active-set iteration order in the scalar path.  That
@@ -69,82 +55,21 @@ from repro.engine.messages import (
 )
 from repro.utils.sizing import BYTES_PER_VID
 
-#: Sentinel returned by :meth:`VectorizedExecutor.committed_value` when
-#: no valid cached column exists for the node — the caller falls back
-#: to the (then-authoritative) slot value.  A sentinel rather than
-#: ``None`` because ``None`` could be a legitimate vertex value.
-NO_COLUMN = object()
-
-
 class _NodeState:
-    """Per-node dynamic columns + pending staging.
+    """One node's topology and superstep staging over its graph's
+    columns; cached across supersteps keyed by topology identity."""
 
-    Cached across supersteps keyed by topology identity; the finalize
-    round keeps the columns equal to the slots at every barrier.
-    """
-
-    __slots__ = ("topo", "values", "active", "last_activates",
-                 "mirror_self_active", "replicas_known_active",
-                 "last_update", "unflushed",
-                 "pend_mask", "pend_values", "pend_activates",
+    __slots__ = ("topo", "pend_mask", "pend_values", "pend_activates",
                  "pend_self_active", "next_active")
 
-    def __init__(self, lg, dtype):
-        topo = lg.topology()
-        slots = lg.slots
+    def __init__(self, topo, dtype):
         n = topo.n
         self.topo = topo
-        self.values = np.array(
-            [(0 if s is None else s.value) for s in slots], dtype=dtype)
-        self.last_activates = np.fromiter(
-            (s is not None and s.last_activates for s in slots),
-            bool, count=n)
-        self.mirror_self_active = np.fromiter(
-            (s is not None and s.mirror_self_active for s in slots),
-            bool, count=n)
-        self.last_update = np.fromiter(
-            (-1 if s is None else s.last_update_iter for s in slots),
-            np.int64, count=n)
-        self.refresh_activity(lg)
-        #: Positions whose committed value/flag columns are newer than
-        #: the slots (writeback is deferred to :meth:`VectorProtocol.
-        #: flush`).
-        self.unflushed = np.zeros(n, dtype=bool)
         self.pend_mask = np.zeros(n, dtype=bool)
         self.pend_values = np.zeros(n, dtype=dtype)
         self.pend_activates = np.zeros(n, dtype=bool)
         self.pend_self_active = np.zeros(n, dtype=bool)
         self.next_active = np.zeros(n, dtype=bool)
-
-    def refresh_activity(self, lg) -> None:
-        """Re-read the two columns the phase-0 broadcast can change.
-
-        The broadcast flips ``active`` on receiver replicas and
-        ``replicas_known_active`` on sender masters via plain slot
-        writes (no topology change), so a cached state must re-read
-        them afterwards.
-        """
-        slots = lg.slots
-        n = self.topo.n
-        self.active = np.fromiter(
-            (s is not None and s.active for s in slots), bool, count=n)
-        self.replicas_known_active = np.fromiter(
-            (s is not None and s.replicas_known_active for s in slots),
-            bool, count=n)
-
-
-def column_top_k(topo, values: np.ndarray, k: int,
-                 largest: bool = True) -> list[tuple]:
-    """The node's K masters with extreme values, as ``(value, gid)``.
-
-    Deterministic ``(value, gid)`` selection — ties break toward the
-    lower gid — so the column path and a per-slot heap pick identical
-    K sets.  Python scalars via ``tolist()``.
-    """
-    pos = np.flatnonzero(topo.is_master)
-    vals, gids = values[pos], topo.gids[pos]
-    order = np.lexsort((gids, -vals if largest else vals))[:k]
-    return list(zip(vals[order].tolist(), gids[order].tolist()))
 
 
 class VectorProtocol:
@@ -168,16 +93,12 @@ class VectorProtocol:
         self.selfish_opt = selfish_opt
         self.combining = combining
 
-    def begin(self, lg, st: _NodeState | None = None,
-              activity_changed: bool = False) -> _NodeState:
+    def begin(self, lg, st: _NodeState | None = None) -> _NodeState:
         """A superstep's per-node state: ``st`` while still valid for
-        ``lg``'s topology — re-reading the activity columns after slot
-        writes of the phase-0 broadcast — else fresh columns read from
-        the slots."""
-        if st is None or st.topo is not lg.topology():
-            return _NodeState(lg, self.kernel.dtype)
-        if activity_changed:
-            st.refresh_activity(lg)
+        ``lg``'s topology, else fresh staging over the new one."""
+        topo = lg.topology()
+        if st is None or st.topo is not topo:
+            return _NodeState(topo, self.kernel.dtype)
         return st
 
     # -- compute -------------------------------------------------------
@@ -188,11 +109,11 @@ class VectorProtocol:
         """One node's edge-cut superstep; returns ``(outbox,
         edges_folded, vertices_computed, syncs_elided)``."""
         topo = st.topo
-        sel = st.active & topo.is_master
+        sel = lg.column("active") & topo.is_master
         esel = np.flatnonzero(sel[topo.in_dst]) \
             if topo.in_dst.size else topo.in_dst
-        acc, has = self.kernel.edge_fold(topo, st.values, esel)
-        outbox, elided = self._master_compute(st, sel, acc, has, ctx)
+        acc, has = self.kernel.edge_fold(topo, lg.column("value"), esel)
+        outbox, elided = self._master_compute(lg, st, sel, acc, has, ctx)
         return (outbox, int(topo.in_counts[sel].sum()), int(sel.sum()),
                 elided)
 
@@ -211,10 +132,10 @@ class VectorProtocol:
         kernel = self.kernel
         node = lg.node_id
         topo = st.topo
-        sel = st.active & topo.has_in
+        sel = lg.column("active") & topo.has_in
         esel = np.flatnonzero(sel[topo.in_dst]) \
             if topo.in_dst.size else topo.in_dst
-        seg, contrib = kernel.edge_contrib(topo, st.values, esel)
+        seg, contrib = kernel.edge_contrib(topo, lg.column("value"), esel)
         acc = kernel.init_acc(topo.n)
         kernel.fold_into(acc, seg, contrib)
         cnt = np.bincount(seg, minlength=topo.n) if seg.size \
@@ -288,7 +209,7 @@ class VectorProtocol:
         """
         kernel = self.kernel
         topo = st.topo
-        sel = st.active & topo.is_master
+        sel = lg.column("active") & topo.is_master
         acc = kernel.init_acc(topo.n)
         has = np.zeros(topo.n, dtype=bool)
         if partials:
@@ -300,17 +221,17 @@ class VectorProtocol:
             order = np.lexsort((src, pos))
             kernel.fold_into(acc, pos[order], accs[order])
             has[pos] = True
-        outbox, elided = self._master_compute(st, sel, acc, has, ctx)
+        outbox, elided = self._master_compute(lg, st, sel, acc, has, ctx)
         return outbox, int(sel.sum()), elided
 
-    def _master_compute(self, st: _NodeState, sel: np.ndarray,
+    def _master_compute(self, lg, st: _NodeState, sel: np.ndarray,
                         acc: np.ndarray, has: np.ndarray,
                         ctx) -> tuple[dict, int]:
         """Apply + stage + build syncs for one node's computed masters;
         returns ``(outbox, syncs_elided)``."""
         kernel = self.kernel
         topo = st.topo
-        old = st.values
+        old = lg.column("value")
         new = kernel.apply(topo.gids, old, acc, has, ctx)
         act = kernel.activates(topo.gids, old, new, ctx)
         stay = kernel.stays_active(topo.gids, old, new, ctx)
@@ -321,8 +242,8 @@ class VectorProtocol:
         outbox: dict = {}
         elided = 0
         if self.sync_elision:
-            noop = ~act & ~st.last_activates & (new == old)
-            mirror_elide = noop & (stay == st.mirror_self_active)
+            noop = ~act & ~lg.column("last_activates") & (new == old)
+            mirror_elide = noop & (stay == lg.column("mirror_self_active"))
         else:
             noop = mirror_elide = None
         plain_size = BYTES_PER_VID + kernel.value_nbytes + 1
@@ -417,39 +338,33 @@ class VectorProtocol:
         """
         topo = st.topo
         pm = st.pend_mask
-        # Value/flag commit into the columns; the slot writeback is
-        # deferred (marked ``unflushed``) to :meth:`flush`.
         pos = np.flatnonzero(pm)
         if pos.size:
-            st.values[pos] = st.pend_values[pos]
-            st.last_activates[pos] = st.pend_activates[pos]
-            st.last_update[pos] = iteration
-            st.unflushed[pos] = True
+            lg.column("value")[pos] = st.pend_values[pos]
+            lg.column("last_activates")[pos] = st.pend_activates[pos]
+            lg.column("last_update_iter")[pos] = iteration
+        self_active = lg.column("mirror_self_active")
         stale: list[int] = []
         touched = np.flatnonzero((pm | st.next_active) & topo.is_master)
         if touched.size:
             new_active = ((pm[touched] & st.pend_self_active[touched])
                           | st.next_active[touched])
-            # Master/mirror self-activity shadows commit into the
-            # columns; the slot write rides the deferred flush (withp
-            # and mirrors are pend-masked, so already unflushed).
+            # Masters track the self-active flag their mirrors just
+            # received, so recovery can rebuild them.
             withp = touched[pm[touched]]
-            st.mirror_self_active[withp] = st.pend_self_active[withp]
-            # Only flip slots whose activity actually changed — the
-            # column mirrors the slot flags, so the delta filter leaves
-            # slot state and active sets exactly as the full write
-            # would (always-active programs skip the per-slot loop).
-            cmask = new_active != st.active[touched]
+            self_active[withp] = st.pend_self_active[withp]
+            # Only positions whose activity actually changed go
+            # through the active-set update (always-active programs
+            # skip it entirely).
+            cmask = new_active != lg.column("active")[touched]
             if cmask.any():
                 lg.set_active_bulk(touched[cmask].tolist(),
                                    new_active[cmask].tolist())
-            st.active[touched] = new_active
             if not self.is_edge_cut:
-                stale = topo.gids[touched[
-                    new_active != st.replicas_known_active[touched]]
-                ].tolist()
+                known = lg.column("replicas_known_active")[touched]
+                stale = topo.gids[touched[new_active != known]].tolist()
         mirrors = np.flatnonzero(pm & topo.is_mirror)
-        st.mirror_self_active[mirrors] = st.pend_self_active[mirrors]
+        self_active[mirrors] = st.pend_self_active[mirrors]
         self.abort(lg, st)
         return stale
 
@@ -458,110 +373,3 @@ class VectorProtocol:
         no clearing — every read is ``pend_mask``-gated."""
         st.pend_mask[:] = False
         st.next_active[:] = False
-
-    # -- slot writeback ------------------------------------------------
-
-    def flush(self, lg, st: _NodeState) -> bool:
-        """Write deferred column commits back into the slots; returns
-        whether anything was pending.  Call before any code reads slot
-        values directly."""
-        pos = np.flatnonzero(st.unflushed)
-        if not pos.size:
-            return False
-        slots = lg.slots
-        for p, v, a, sa, it in zip(
-                pos.tolist(), st.values[pos].tolist(),
-                st.last_activates[pos].tolist(),
-                st.mirror_self_active[pos].tolist(),
-                st.last_update[pos].tolist()):
-            slot = slots[p]
-            slot.value = v
-            slot.last_activates = a
-            slot.mirror_self_active = sa
-            slot.last_update_iter = it
-        st.unflushed[:] = False
-        return True
-
-
-class VectorizedExecutor:
-    """The simulator's per-node column cache for :class:`VectorProtocol`.
-
-    The engine's per-node loops drive :attr:`ops` over the states
-    returned by :meth:`state`; this class keeps those states across
-    supersteps, writes them back into the slots on demand and serves
-    flush-free committed reads from them.
-    """
-
-    def __init__(self, engine, kernel):
-        self.engine = engine
-        self.kernel = kernel
-        self.ops = VectorProtocol(kernel, engine.is_edge_cut,
-                                  sync_elision=engine._sync_elision,
-                                  combining=engine._combining)
-        #: node -> _NodeState, cached across supersteps; a state is
-        #: valid while its topology object is still the graph's cached
-        #: one (recovery / slot churn invalidates the topology, which
-        #: makes :meth:`state` rebuild the columns from the slots).
-        self._states: dict = {}
-        #: Whole-column slot writebacks performed (:meth:`flush` calls
-        #: that found deferred commits).  The read-path contract is that
-        #: point reads never advance this counter.
-        self.flush_count = 0
-
-    def state(self, node: int, activity_changed: bool = False) -> _NodeState:
-        st = self.ops.begin(self.engine.local_graphs[node],
-                            self._states.get(node), activity_changed)
-        self._states[node] = st
-        return st
-
-    def rollback(self) -> None:
-        """Flush committed columns, then discard all cached state.
-
-        Pending (uncommitted) staging lives only in the ``pend_*``
-        arrays and is dropped with the states; the flush writes the
-        *last-committed* values, which is exactly what recovery must
-        see on survivors.
-        """
-        self.flush()
-        self._states = {}
-
-    def flush(self) -> None:
-        """Write deferred column commits back into the slots.
-
-        Called before any code path that reads slot values directly:
-        recovery entry, checkpoint saves, chaos-plugin hooks, and
-        :meth:`Engine.values`.  A no-op (per node) when nothing is
-        pending, so it is safe to call eagerly.
-        """
-        for node, st in self._states.items():
-            if self.ops.flush(self.engine.local_graphs[node], st):
-                self.flush_count += 1
-
-    def _valid(self, node: int) -> _NodeState | None:
-        st = self._states.get(node)
-        if st is None or st.topo is not self.engine.local_graphs[node].topology():
-            return None
-        return st
-
-    def committed_value(self, node: int, pos: int):
-        """Flush-free committed read of one position's column value.
-
-        The committed columns are authoritative between barriers — the
-        finalize round writes them and defers the slot writeback — so a
-        point read can take the value straight from the array without
-        forcing :meth:`flush`.  Returns :data:`NO_COLUMN` when the node
-        has no valid cached state (fresh engine, post-recovery
-        invalidation): the slots are then authoritative and the caller
-        reads them directly.
-        """
-        st = self._valid(node)
-        return NO_COLUMN if st is None else st.values[pos].item()
-
-    def committed_columns(self, node: int):
-        """The node's committed value column + topology, flush-free.
-
-        Returns ``(topo, values)`` for bulk committed reads (top-K) or
-        :data:`NO_COLUMN` when no valid cached state exists.
-        """
-        st = self._valid(node)
-        return NO_COLUMN if st is None else (st.topo, st.values)

@@ -71,7 +71,6 @@ need replication over an edge-cut partitioning (the simulator's
 
 from __future__ import annotations
 
-import heapq
 import os
 import signal
 import time
@@ -81,7 +80,7 @@ from typing import Any
 
 from repro.api import make_engine
 from repro.config import MP_HEARTBEAT_INTERVAL_S, MP_HEARTBEAT_MISSES
-from repro.engine.vectorized import VectorProtocol, column_top_k
+from repro.engine.vectorized import VectorProtocol
 from repro.engine.vertex_program import ApplyContext
 from repro.errors import UnrecoverableFailureError
 from repro.exec.base import (BackendError, BackendRunResult, BackendSpec,
@@ -194,15 +193,14 @@ def _worker_main(rank: int, conn, close_conns, engine) -> None:
     """Worker process main loop: one partition, frame-driven rounds.
 
     Drives :class:`~repro.engine.vectorized.VectorProtocol` when the
-    parent engine installed a vectorized executor, else the scalar
+    parent engine installed the array kernels, else the scalar
     :class:`NodeProtocol`, through the same calls the simulator makes.
-    Column rules: the columns are built here, after fork, on the first
-    compute frame; committed columns change only in the finalize round
-    (``commit2``), so ``abort`` drops just the pending arrays; reads
-    take committed values straight from the columns, the frames that
-    read slots (``values``/``extract``/``fullstate``) flush them first,
-    and slot writes from outside the operations (``reseed``/
-    ``recovered``) flush and drop them.
+    Column rules: the forked graph's columns are the only copy of the
+    dynamic state, read and written alike by the operations, the slot
+    attributes of the recovery frames and the reads; the SoA topology
+    is built here, after fork, on the first compute frame.  Committed
+    columns change only in the finalize round (``commit2``), so
+    ``abort`` drops just the pending arrays.
     """
     for other in close_conns:
         try:
@@ -224,11 +222,10 @@ def _worker_main(rank: int, conn, close_conns, engine) -> None:
     num_vertices = engine.graph.num_vertices
     num_edges = engine.graph.num_edges
     # The operations' per-node state: staged slots (scalar) or the
-    # columns (vectorized; None until built, slots authoritative).
+    # topology and staging arrays (vectorized; None until built).
     state: Any = None
     partials: Any = None
     pending_broadcast: set[int] = set()
-    broadcast_sent = False
 
     def ctx(iteration: int) -> ApplyContext:
         return ApplyContext(iteration=iteration, num_vertices=num_vertices,
@@ -237,10 +234,6 @@ def _worker_main(rank: int, conn, close_conns, engine) -> None:
     def encode_outbox(outbox: dict) -> list:
         return [(dst, kind.value, encode_batch(batch))
                 for (dst, kind), batch in outbox.items()]
-
-    def flush() -> None:
-        if state is not None:
-            ops.flush(lg, state)
 
     while True:
         try:
@@ -257,7 +250,6 @@ def _worker_main(rank: int, conn, close_conns, engine) -> None:
                        edges, vertices, elided))
         elif tag == "vc0":
             it = frame[1]
-            broadcast_sent = bool(pending_broadcast)
             outbox = proto.broadcast_build(lg, pending_broadcast)
             pending_broadcast = set()
             conn.send(("vc0_done", it, encode_outbox(outbox)))
@@ -265,7 +257,7 @@ def _worker_main(rank: int, conn, close_conns, engine) -> None:
             it = frame[1]
             for _src, enc in frame[2]:
                 proto.broadcast_apply(lg, decode_batch(enc))
-            state = ops.begin(lg, state, broadcast_sent or bool(frame[2]))
+            state = ops.begin(lg, state)
             outbox, partials, edges = ops.vertex_gather(lg, state, ctx(it))
             conn.send(("vc1_done", it, encode_outbox(outbox), edges))
         elif tag == "vc2":
@@ -296,53 +288,36 @@ def _worker_main(rank: int, conn, close_conns, engine) -> None:
             partials = None
             conn.send(("aborted", frame[1]))
         elif tag == "extract":
-            flush()
             masters, replicas = _extract_records(lg, frame[1])
             conn.send(("extracted", masters, replicas))
         elif tag == "reseed":
             _, masters, replicas, activate_gids, force = frame
-            flush()
-            state = None
             _apply_reseed(lg, masters, replicas, activate_gids)
             if force:
                 _force_rebroadcast(lg, pending_broadcast)
             conn.send(("reseeded",))
         elif tag == "recovered":
             if frame[1]:
-                flush()
-                state = None
                 _force_rebroadcast(lg, pending_broadcast)
             conn.send(("recovered_ack",))
         elif tag == "read":
             # Point reads of committed state: the coordinator only
             # sends these at protocol-safe points (workers idle between
-            # rounds, never inside the commit exchange), so every slot
-            # value — or column value, once columns exist — here is the
-            # last committed one.  Any local copy — master, replica or
-            # mirror — answers.
+            # rounds, never inside the commit exchange), so every value
+            # here is the last committed one.  Any local copy — master,
+            # replica or mirror — answers.
             req_id, gids = frame[1], frame[2]
             index = lg.index_of
-            if vectorized and state is not None:
-                out = {gid: (state.values[index[gid]].item()
-                             if gid in index else None) for gid in gids}
-            else:
-                out = {gid: (lg.slots[index[gid]].value
-                             if gid in index else None) for gid in gids}
+            out = {gid: (lg.slots[index[gid]].value
+                         if gid in index else None) for gid in gids}
             conn.send(("read_done", req_id, out))
         elif tag == "topk":
             # Local-masters top-K by (value desc, gid asc); the
             # coordinator merges the per-rank lists.
             req_id, k = frame[1], frame[2]
-            if vectorized and state is not None:
-                out = [(gid, value) for value, gid
-                       in column_top_k(state.topo, state.values, k)]
-            else:
-                top = heapq.nlargest(k, ((slot.value, -slot.gid)
-                                         for slot in lg.iter_masters()))
-                out = [(-neg_gid, value) for value, neg_gid in top]
+            out = [(gid, value) for value, gid in lg.top_k_masters(k)]
             conn.send(("topk_done", req_id, out))
         elif tag == "values":
-            flush()
             conn.send(("values_done",
                        {slot.gid: slot.value for slot in lg.iter_masters()},
                        vectorized))
@@ -351,7 +326,6 @@ def _worker_main(rank: int, conn, close_conns, engine) -> None:
             # coordinator writes it back into the parent engine before a
             # membership reshape (only ever sent at a commit barrier, so
             # no pending fields exist).
-            flush()
             conn.send(("fullstate_done",
                        [(slot.gid, slot.value, slot.last_activates,
                          slot.last_update_iter, slot.mirror_self_active,
@@ -973,9 +947,9 @@ class MultiprocessingBackend(ExecutionBackend):
         # The parent engine is the state template: partitioned,
         # replicated and value-initialised in __init__, never run.
         # Workers fork from it, so every rank starts bit-identical to
-        # the simulator's.  Its vectorized executor (when installed)
-        # only selects the workers' protocol: it never runs, so no
-        # columns exist before the fork — each worker builds its own.
+        # the simulator's.  Its array protocol (when installed) only
+        # selects the workers' protocol: it never runs, so no SoA
+        # topology exists before the fork — each worker builds its own.
         kwargs = spec.engine_kwargs()
         # Membership replays through the parent engine's own manager at
         # reshape points — never via the engine's scheduled events (the

@@ -173,7 +173,7 @@ class NodeProtocol:
 
     # -- per-node compute phases ----------------------------------------
 
-    def begin(self, lg, dirty=None, activity_changed: bool = False) -> dict:
+    def begin(self, lg, dirty=None) -> dict:
         """A superstep's per-node state: a fresh map of staged slots."""
         return {}
 
@@ -433,7 +433,3 @@ class NodeProtocol:
         for slot in dirty.values():
             slot.clear_pending()
         dirty.clear()
-
-    def flush(self, lg, dirty: dict) -> bool:
-        """No-op: the slots are always authoritative on this path."""
-        return False

@@ -53,7 +53,7 @@ class RebirthRecovery:
         # The newbies join the barrier group under the crashed ids.
         for node in failed:
             engine.cluster.replace_node(node)
-            fresh = LocalGraph(node)
+            fresh = LocalGraph(node, engine.value_dtype)
             engine.local_graphs[node] = fresh
             engine.cluster.node(node).local = fresh
 

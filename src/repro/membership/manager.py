@@ -89,7 +89,7 @@ class MembershipManager:
         joined: list[int] = []
         for _ in range(max(1, count)):
             nid = engine.cluster.join_node()
-            lg = LocalGraph(nid)
+            lg = LocalGraph(nid, engine.value_dtype)
             engine.local_graphs[nid] = lg
             engine.cluster.node(nid).local = lg
             joined.append(nid)
@@ -155,10 +155,6 @@ class MembershipManager:
         self._drop_dead_targets()
         if not self._queue:
             return
-        if engine._vec is not None:
-            # Write deferred column commits back and drop the caches:
-            # moves mutate slots and topology underneath them.
-            engine._vec.rollback()
         net = engine.cluster.network
         net.begin_step()
         pre_clock = engine.cluster.clocks.global_max()

