@@ -26,9 +26,13 @@ received a message), so sparse supersteps cost O(work), not O(graph).
 
 from __future__ import annotations
 
+import gc
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any
+
+import numpy as np
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.network import Message, MessageKind
@@ -42,7 +46,11 @@ from repro.costmodel import (
     compute_time,
     pairwise_comm_time,
 )
-from repro.engine.construction import ConstructionReport, build_local_graphs
+from repro.engine.construction import (
+    ConstructionReport,
+    build_local_graphs,
+    object_list,
+)
 from repro.engine.messages import SyncBatch
 from repro.engine.state import Role, VertexSlot
 from repro.engine.vectorized import VectorProtocol
@@ -56,7 +64,7 @@ from repro.exec.protocol import NodeProtocol
 from repro.ft.checkpoint import CheckpointManager
 from repro.ft.edge_ckpt import EdgeCkptStore, EdgeRecord
 from repro.ft.recovery import RecoveryOutcome, RecoveryStats
-from repro.ft.replication import plan_replication
+from repro.ft.replication import plan_replication, split_lists
 from repro.graph.graph import Graph
 from repro.membership.election import elect_leader
 from repro.membership.policy import FtPolicy
@@ -129,6 +137,20 @@ class _ScheduledFailure:
     phase: str = "compute"
 
 
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector for a block: loading allocates
+    hundreds of thousands of long-lived objects without reference
+    cycles, and the collections they would trigger free nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 class Engine:
     """Synchronous graph-parallel engine with pluggable fault tolerance."""
 
@@ -154,8 +176,8 @@ class Engine:
         self.cluster.network.bind_metrics(self.metrics)
 
         # -- loading phase (Section 4) --------------------------------
-        with self.tracer.span("load", cat="load",
-                              algorithm=program.name):
+        with _gc_paused(), self.tracer.span("load", cat="load",
+                                            algorithm=program.name):
             if partitioning is None:
                 partitioner = make_partitioner(self.job.engine.partition)
                 with self.tracer.span("load.partition", cat="load"):
@@ -184,8 +206,7 @@ class Engine:
                     graph, partitioning, self.plan, dtype=self.value_dtype)
             for node_id, lg in self.local_graphs.items():
                 self.cluster.node(node_id).local = lg
-            self.master_node_of: list[int] = [int(n)
-                                              for n in self.plan.master_of]
+            self.master_node_of: list[int] = self.plan.master_of.tolist()
             self.is_edge_cut = partitioning.kind == "edge-cut"
             #: Transport policy (DESIGN.md §10): columnar batching and
             #: no-op sync elision.
@@ -221,18 +242,12 @@ class Engine:
                 and self.job.ft.safety_checkpoint_interval > 0)
             with self.tracer.span("load.ft_init", cat="load",
                                   ft_mode=self.job.ft.mode.value):
-                if self.job.ft.mode is FTMode.CHECKPOINT:
+                if self.job.ft.mode is FTMode.CHECKPOINT or self._safety_ckpt:
                     self.ckpt = CheckpointManager(
                         self.cluster.store, self.model,
-                        interval=self.job.ft.checkpoint_interval,
-                        in_memory=self.job.ft.checkpoint_in_memory,
-                        num_nodes=self.cluster.num_workers,
-                        tracer=self.tracer)
-                    self.ckpt.write_metadata(self.local_graphs)
-                elif self._safety_ckpt:
-                    self.ckpt = CheckpointManager(
-                        self.cluster.store, self.model,
-                        interval=self.job.ft.safety_checkpoint_interval,
+                        interval=(self.job.ft.safety_checkpoint_interval
+                                  if self._safety_ckpt
+                                  else self.job.ft.checkpoint_interval),
                         in_memory=self.job.ft.checkpoint_in_memory,
                         num_nodes=self.cluster.num_workers,
                         tracer=self.tracer)
@@ -242,9 +257,11 @@ class Engine:
                     self.edge_ckpt = EdgeCkptStore(self.cluster.store,
                                                    self.cluster.num_workers)
                     self._write_edge_ckpt_files()
+            self.iteration = 0
+            with self.tracer.span("load.init_values", cat="load"):
+                self._init_values()
 
         # -- runtime state ------------------------------------------------
-        self.iteration = 0
         #: Superstep of the last committed barrier (DESIGN.md §13):
         #: ``-1`` until the first commit (initial values), rewound by
         #: recovery to whatever superstep the restored state reflects.
@@ -309,7 +326,6 @@ class Engine:
         #: leader and its term (bumped per election).
         self.recovery_leader = -1
         self.leader_term = 0
-        self._init_values()
         self._update_ft_gauges()
 
     # ------------------------------------------------------------------
@@ -526,49 +542,65 @@ class Engine:
     # ------------------------------------------------------------------
 
     def _init_values(self) -> None:
-        ctx = self._ctx()
-        program = self.program
-        init_cache: dict[int, tuple[Any, bool]] = {}
+        """Write every copy's initial value and activity, column by
+        column (graph loading and the checkpoint rung's pristine
+        rebuild)."""
+        n, ctx = self.graph.num_vertices, self._ctx()
+        values = np.fromiter((self.program.initial_value(gid, ctx)
+                              for gid in range(n)), dtype=object, count=n)
+        active = np.fromiter(map(self.program.is_initially_active,
+                                 range(n)), dtype=bool, count=n)
         for lg in self.local_graphs.values():
+            topo = lg.topology()
+            live = np.flatnonzero(topo.occupied)
+            flags = active[topo.gids]
+            lg.column("value")[live] = values[topo.gids[live]]
             lg.column("last_activates")[:] = False
             lg.column("last_update_iter")[:] = -1
-            for slot in lg.iter_slots():
-                gid = slot.gid
-                init = init_cache.get(gid)
-                if init is None:
-                    init = init_cache[gid] = (
-                        program.initial_value(gid, ctx),
-                        program.is_initially_active(gid))
-                value, active = init
-                slot.value = value
-                lg.set_active(slot, active)
-                if slot.role is Role.MASTER:
-                    slot.replicas_known_active = active
-                # Mirrors track the master's self-activity, and masters
-                # mirror their own so recovery snapshots of mirror state
-                # stay truthful.
-                if slot.role is not Role.REPLICA:
-                    slot.mirror_self_active = active
+            lg.column("replicas_known_active")[topo.is_master] = \
+                flags[topo.is_master]
+            # Mirrors track the master's self-activity, and masters
+            # mirror their own so recovery snapshots of mirror state
+            # stay truthful.
+            full = topo.is_master | topo.is_mirror
+            lg.column("mirror_self_active")[full] = flags[full]
+            lg.set_active_bulk(live.tolist(), flags[live].tolist())
 
     def _write_edge_ckpt_files(self) -> None:
         """Persist per-node edge files for vertex-cut FT (Section 4.3).
 
         An edge's receiver file is keyed by a node hosting the master
         or a mirror of its *target* vertex (excluding the owner), so
-        Migration reloads land edges next to a surviving copy.
+        Migration reloads land edges next to a surviving copy.  Runs
+        on freshly built graphs only (loading and the checkpoint
+        rung's pristine rebuild), whose copies sit where the plan put
+        them, so the receivers come from the plan: the master's node
+        for an edge away from it, else its first mirror (see
+        :meth:`_edge_receiver`).
         """
         assert self.edge_ckpt is not None
+        master_of = np.asarray(self.plan.master_of)
+        first_mirror = np.fromiter(
+            (mirrors[0] if mirrors else -1
+             for mirrors in self.plan.mirror_nodes),
+            dtype=np.int64, count=self.graph.num_vertices)
+        gids = np.arange(self.graph.num_vertices, dtype=object)
         for node, lg in self.local_graphs.items():
-            by_receiver: dict[int, list[EdgeRecord]] = defaultdict(list)
-            for slot in lg.iter_slots():
-                if not slot.in_edges:
-                    continue
-                receiver = self._edge_receiver(slot.gid, node)
-                for src_pos, weight in slot.in_edges:
-                    src_slot = lg.slots[src_pos]
-                    by_receiver[receiver].append(
-                        EdgeRecord(src_slot.gid, slot.gid, weight))
-            self.edge_ckpt.write_node_edges(node, dict(by_receiver))
+            topo = lg.topology()
+            dst = topo.gids[topo.in_dst]
+            src = topo.gids[topo.in_src]
+            home = first_mirror[dst]
+            # No mirror off the owner (ft_level 0): the next node round
+            # robin; recovering such an edge needs the checkpoint path.
+            home[home < 0] = (node + 1) % self.cluster.num_workers
+            receiver = np.where(master_of[dst] != node, master_of[dst], home)
+            order = np.argsort(receiver, kind="stable")
+            receivers, counts = np.unique(receiver, return_counts=True)
+            records = list(map(EdgeRecord, gids[src[order]].tolist(),
+                               gids[dst[order]].tolist(),
+                               object_list(topo.in_w[order])))
+            self.edge_ckpt.write_node_edges(node, dict(zip(
+                receivers.tolist(), split_lists(records, counts))))
 
     def _edge_receiver(self, target_gid: int, owner_node: int) -> int:
         """Pick the surviving node that would reload this edge."""
@@ -1580,7 +1612,7 @@ class Engine:
         for node in sorted(rebuilt_all):
             self.local_graphs[node] = rebuilt_all[node]
             self.cluster.node(node).local = rebuilt_all[node]
-        self.master_node_of = [int(n) for n in self.plan.master_of]
+        self.master_node_of = self.plan.master_of.tolist()
         self._init_values()
         self._edge_journal = defaultdict(list)
         stats = self.ckpt.recover_safety(self.local_graphs, self.program,

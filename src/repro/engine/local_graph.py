@@ -63,9 +63,10 @@ class LocalGraph:
         # the set per node per superstep.
         self._masters_snapshot: tuple[int, ...] | None = None
         self._others_snapshot: tuple[int, ...] | None = None
-        #: Cached structure-of-arrays topology (DESIGN.md §11); built
-        #: lazily by :meth:`topology`, dropped by :meth:`invalidate_soa`
-        #: whenever the slot array or edge lists change shape.
+        #: Cached structure-of-arrays topology (DESIGN.md §11); seeded
+        #: by :meth:`place` at loading, else built lazily by
+        #: :meth:`topology`, dropped by :meth:`invalidate_soa` whenever
+        #: the slot array or edge lists change shape.
         self._topology = None
 
     def _grow(self, size: int) -> None:
@@ -124,6 +125,24 @@ class LocalGraph:
         if active:
             self.set_active(slot, True)
         return position
+
+    def place(self, slots: list[VertexSlot], topology) -> None:
+        """Fill an empty graph with fresh slots at positions
+        ``0..len(slots)-1`` in one go (graph loading), seeding its
+        topology.
+
+        The slots must be new: their dynamic fields at the defaults,
+        which are the fill of fresh column entries.
+        """
+        if self.slots:
+            raise EngineError(f"node {self.node_id} is already loaded")
+        self._grow(len(slots))
+        access, index_of = self._access, self.index_of
+        for pos, slot in enumerate(slots):
+            slot._access, slot._pos, slot._detached = access, pos, None
+            index_of[slot.gid] = pos
+        self.slots = slots
+        self._topology = topology
 
     def set_active(self, slot: VertexSlot, flag: bool) -> None:
         """Flip a slot's activity, keeping the active indexes in sync.

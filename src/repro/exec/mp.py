@@ -198,7 +198,8 @@ def _worker_main(rank: int, conn, close_conns, engine) -> None:
     Column rules: the forked graph's columns are the only copy of the
     dynamic state, read and written alike by the operations, the slot
     attributes of the recovery frames and the reads; the SoA topology
-    is built here, after fork, on the first compute frame.  Committed
+    is the one loading seeded in the parent, inherited through the
+    fork, until a recovery frame's slot changes drop it.  Committed
     columns change only in the finalize round (``commit2``), so
     ``abort`` drops just the pending arrays.
     """
@@ -947,9 +948,9 @@ class MultiprocessingBackend(ExecutionBackend):
         # The parent engine is the state template: partitioned,
         # replicated and value-initialised in __init__, never run.
         # Workers fork from it, so every rank starts bit-identical to
-        # the simulator's.  Its array protocol (when installed) only
-        # selects the workers' protocol: it never runs, so no SoA
-        # topology exists before the fork — each worker builds its own.
+        # the simulator's, with the SoA topology loading seeded.  Its
+        # array protocol (when installed) only selects the workers'
+        # protocol: it never runs in the parent.
         kwargs = spec.engine_kwargs()
         # Membership replays through the parent engine's own manager at
         # reshape points — never via the engine's scheduled events (the

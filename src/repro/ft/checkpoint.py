@@ -284,6 +284,7 @@ class CheckpointManager:
     def _apply_edge_log(lg: LocalGraph,
                         edges: dict[tuple[int, int], float]) -> None:
         """Re-apply mutated edge weights to every local copy by gid pair."""
+        lg.invalidate_soa()  # its in-edge weights change below
         for slot in lg.iter_slots():
             for i, (src_pos, weight) in enumerate(slot.in_edges):
                 src = lg.slots[src_pos]

@@ -15,15 +15,14 @@ model; the bytes are still accounted).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.cluster.storage import PersistentStore
 from repro.errors import FaultToleranceError
 from repro.utils.sizing import BYTES_PER_EDGE
 
 
-@dataclass(frozen=True)
-class EdgeRecord:
+class EdgeRecord(NamedTuple):
     """One edge as stored in an edge-ckpt file."""
 
     src: int

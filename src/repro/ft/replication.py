@@ -18,6 +18,7 @@ module decides, per vertex:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -55,15 +56,15 @@ class ReplicationPlan:
         return len(self.replica_nodes)
 
     def total_computation_replicas(self) -> int:
-        return sum(len(r) - len(f) for r, f in
-                   zip(self.replica_nodes, self.ft_nodes))
+        return (sum(map(len, self.replica_nodes))
+                - self.total_ft_replicas())
 
     def total_ft_replicas(self) -> int:
-        return sum(len(f) for f in self.ft_nodes)
+        return sum(map(len, self.ft_nodes))
 
     def extra_replica_fraction(self) -> float:
         """FT replicas as a fraction of all replicas (Fig. 8a)."""
-        total = sum(len(r) for r in self.replica_nodes)
+        total = sum(map(len, self.replica_nodes))
         if total == 0:
             return 0.0
         return self.total_ft_replicas() / total
@@ -93,30 +94,49 @@ class ReplicationPlan:
                     f"ft_level {self.ft_level}")
 
 
-def computation_replicas(graph: Graph, partitioning) -> list[set[int]]:
-    """Per-vertex computation replica node sets (master excluded)."""
-    n = graph.num_vertices
-    replicas: list[set[int]] = [set() for _ in range(n)]
+def node_pairs(lists: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-vertex node lists (a plan field) as ``(vertex, node)``
+    arrays, in list order."""
+    lengths = np.fromiter(map(len, lists), np.int64, len(lists))
+    nodes = np.fromiter(chain.from_iterable(lists), dtype=np.int64,
+                        count=int(lengths.sum()))
+    return np.repeat(np.arange(len(lists)), lengths), nodes
+
+
+def split_lists(flat: list, counts: np.ndarray) -> list[list]:
+    """Cut ``flat`` into consecutive lists of ``counts`` entries."""
+    ends = np.cumsum(counts).tolist()
+    return [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
+
+
+def _replica_pairs(graph: Graph, partitioning
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Computation replicas as ``(vertex, node)`` arrays sorted by
+    vertex, then node: one pair per node where an edge of the vertex
+    lives without its master."""
+    num_nodes = partitioning.num_nodes
+    master_of = np.asarray(partitioning.master_of, dtype=np.int64)
+    src, dst = graph.sources, graph.targets
     if isinstance(partitioning, EdgeCutPartitioning):
-        master_of = np.asarray(partitioning.master_of)
-        src, dst = graph.sources, graph.targets
-        src_nodes = master_of[src]
-        dst_nodes = master_of[dst]
-        for eid in np.flatnonzero(src_nodes != dst_nodes):
-            replicas[int(src[eid])].add(int(dst_nodes[eid]))
+        # A source is replicated where its out-edges' targets live.
+        vertices, nodes = src, master_of[dst]
     elif isinstance(partitioning, VertexCutPartitioning):
-        master_of = np.asarray(partitioning.master_of)
-        edge_node = np.asarray(partitioning.edge_node)
-        src, dst = graph.sources, graph.targets
-        for eid in range(graph.num_edges):
-            node = int(edge_node[eid])
-            for v in (int(src[eid]), int(dst[eid])):
-                if node != int(master_of[v]):
-                    replicas[v].add(node)
+        edge_node = np.asarray(partitioning.edge_node, dtype=np.int64)
+        vertices = np.concatenate((src, dst))
+        nodes = np.concatenate((edge_node, edge_node))
     else:
         raise ConfigError(
             f"unsupported partitioning: {type(partitioning).__name__}")
-    return replicas
+    remote = nodes != master_of[vertices]
+    codes = np.unique(vertices[remote] * num_nodes + nodes[remote])
+    return codes // num_nodes, codes % num_nodes
+
+
+def computation_replicas(graph: Graph, partitioning) -> list[list[int]]:
+    """Per-vertex sorted computation replica nodes (master excluded)."""
+    vertices, nodes = _replica_pairs(graph, partitioning)
+    return split_lists(nodes.tolist(),
+                       np.bincount(vertices, minlength=graph.num_vertices))
 
 
 def plan_replication(graph: Graph, partitioning,
@@ -132,7 +152,9 @@ def plan_replication(graph: Graph, partitioning,
     num_nodes = partitioning.num_nodes
     k = ft_config.ft_level
     master_of = np.asarray(partitioning.master_of)
-    replica_sets = computation_replicas(graph, partitioning)
+    vertices, nodes = _replica_pairs(graph, partitioning)
+    counts = np.bincount(vertices, minlength=n)
+    replica_nodes = split_lists(nodes.tolist(), counts)
     selfish = graph.out_degrees() == 0
 
     ft_nodes: list[list[int]] = [[] for _ in range(n)]
@@ -143,13 +165,11 @@ def plan_replication(graph: Graph, partitioning,
         rng = SeededRng(seed, "ft-placement")
         # Total copies (masters + replicas) per node; FT placement
         # balances this load.
-        load = np.bincount(master_of, minlength=num_nodes).astype(np.int64)
-        for v, rset in enumerate(replica_sets):
-            for node in rset:
-                load[node] += 1
+        load = (np.bincount(master_of, minlength=num_nodes)
+                + np.bincount(nodes, minlength=num_nodes)).tolist()
         candidates = max(1, ft_config.placement_candidates)
-        for v in range(n):
-            rset = replica_sets[v]
+        for v in np.flatnonzero(counts < k).tolist():
+            rset = set(replica_nodes[v])
             master = int(master_of[v])
             while len(rset) < k:
                 excluded = rset | {master}
@@ -167,8 +187,7 @@ def plan_replication(graph: Graph, partitioning,
                 rset.add(best)
                 ft_nodes[v].append(best)
                 load[best] += 1
-
-    replica_nodes = [sorted(rset) for rset in replica_sets]
+            replica_nodes[v] = sorted(rset)
 
     # Mirror election (Section 4.2): every master machine assigns its
     # vertices' mirrors greedily to the replica-hosting machine with the
@@ -176,24 +195,19 @@ def plan_replication(graph: Graph, partitioning,
     # always elected first.
     mirror_nodes: list[list[int]] = [[] for _ in range(n)]
     if k > 0:
-        counters: dict[int, np.ndarray] = {}
-        for v in range(n):
-            master = int(master_of[v])
-            counter = counters.get(master)
-            if counter is None:
-                counter = np.zeros(num_nodes, dtype=np.int64)
-                counters[master] = counter
-            chosen: list[int] = []
-            for node in ft_nodes[v]:
-                if len(chosen) >= k:
-                    break
-                chosen.append(node)
-            remaining = [node for node in replica_nodes[v]
-                         if node not in chosen]
-            while len(chosen) < min(k, len(replica_nodes[v])):
-                best = min(remaining, key=lambda node: (counter[node], node))
-                remaining.remove(best)
-                chosen.append(best)
+        counters = [[0] * num_nodes for _ in range(num_nodes)]
+        for v, master in enumerate(master_of.tolist()):
+            counter = counters[master]
+            chosen = ft_nodes[v][:k]
+            need = min(k, len(replica_nodes[v])) - len(chosen)
+            if need > 0:
+                # The counters move only after the whole choice, so
+                # picking the least-loaded node ``need`` times is a
+                # sort by (count, node).
+                chosen += sorted(
+                    (node for node in replica_nodes[v]
+                     if node not in chosen),
+                    key=lambda node: (counter[node], node))[:need]
             for node in chosen:
                 counter[node] += 1
             mirror_nodes[v] = chosen

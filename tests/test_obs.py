@@ -108,6 +108,27 @@ class TestTimelineContract:
         assert errored
 
 
+class TestLoadSpans:
+    LOAD_CHILDREN = {"load.partition", "load.replicate", "load.construct",
+                     "load.ft_init", "load.init_values"}
+
+    @pytest.mark.parametrize("partition", ["hash_edge_cut", "hybrid_cut"])
+    def test_children_cover_the_load_span(self, partition):
+        """Every load step runs inside a named child of ``load``: the
+        children's wall time covers at least 95% of the span's."""
+        graph = generators.power_law(3000, alpha=2.0, seed=7,
+                                     avg_degree=5.0)
+        tracer = Tracer()
+        make_engine(graph, "pagerank", num_nodes=8, partition=partition,
+                    ft_level=2, tracer=tracer)
+        (load,) = tracer.spans("load")
+        children = [sp for sp in tracer.spans() if sp["parent"] == "load"]
+        assert {sp["name"] for sp in children} == self.LOAD_CHILDREN
+        covered = sum(sp["dur_wall_s"] for sp in children)
+        assert covered >= 0.95 * load["dur_wall_s"], (
+            covered, load["dur_wall_s"])
+
+
 class TestMetricsAgainstLegacyStats:
     def test_counters_match_traffic_totals(self, graph):
         engine, result, _ = traced_run(graph)

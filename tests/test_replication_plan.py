@@ -119,3 +119,75 @@ class TestPlanInvariants:
         plan.validate()
         for v in range(graph.num_vertices):
             assert len(plan.mirror_nodes[v]) == 2
+
+
+class TestValidateRejectsCorruptPlans:
+    """One hand-corrupted plan per ``ConfigError`` branch of
+    :meth:`ReplicationPlan.validate`."""
+
+    V = 7
+
+    @pytest.fixture
+    def plan(self, graph):
+        plan = plan_replication(graph, hybrid_cut(graph, 8), ft(2), seed=3)
+        plan.validate()
+        return plan
+
+    @staticmethod
+    def outsider(plan, v):
+        """A node holding neither the master nor a replica of ``v``."""
+        held = set(plan.replica_nodes[v]) | {int(plan.master_of[v])}
+        return min(set(range(plan.num_nodes)) - held)
+
+    def test_master_in_its_own_replicas(self, plan):
+        v = self.V
+        plan.replica_nodes[v] = sorted(plan.replica_nodes[v]
+                                       + [int(plan.master_of[v])])
+        with pytest.raises(ConfigError, match=f"vertex {v}: master node"):
+            plan.validate()
+
+    def test_duplicate_replica(self, plan):
+        v = self.V
+        plan.replica_nodes[v] = (plan.replica_nodes[v]
+                                 + plan.replica_nodes[v][:1])
+        with pytest.raises(ConfigError,
+                           match=f"vertex {v}: duplicate replica nodes"):
+            plan.validate()
+
+    def test_ft_node_not_a_replica(self, plan):
+        v = self.V
+        plan.ft_nodes[v] = plan.ft_nodes[v] + [self.outsider(plan, v)]
+        with pytest.raises(ConfigError,
+                           match=f"vertex {v}: FT node not in replicas"):
+            plan.validate()
+
+    def test_mirror_not_a_replica(self, plan):
+        v = self.V
+        plan.mirror_nodes[v] = ([self.outsider(plan, v)]
+                                + plan.mirror_nodes[v][1:])
+        with pytest.raises(ConfigError,
+                           match=f"vertex {v}: mirror node not a replica"):
+            plan.validate()
+
+    def test_wrong_mirror_count(self, plan):
+        v = self.V
+        plan.mirror_nodes[v] = plan.mirror_nodes[v][:1]
+        with pytest.raises(ConfigError,
+                           match=f"vertex {v}: expected 2 mirrors, got 1"):
+            plan.validate()
+
+    def test_too_few_copies(self, plan):
+        v = self.V
+        kept = plan.replica_nodes[v][:1]
+        plan.replica_nodes[v] = kept
+        plan.ft_nodes[v] = [node for node in plan.ft_nodes[v] if node in kept]
+        plan.mirror_nodes[v] = list(kept)
+        with pytest.raises(ConfigError,
+                           match=f"vertex {v}: only 1 copies for ft_level 2"):
+            plan.validate()
+
+    def test_first_corrupt_vertex_is_reported(self, plan):
+        for v in (self.V + 5, self.V):
+            plan.mirror_nodes[v] = plan.mirror_nodes[v][:1]
+        with pytest.raises(ConfigError, match=f"vertex {self.V}: expected"):
+            plan.validate()
